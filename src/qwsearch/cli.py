@@ -26,14 +26,15 @@ import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
 from .config import DEFAULT, InvariantViolation, NumericsConfig
 from .measures import ResourceReport, groverian_entanglement
-from .runners import (RunResult, predicted_probability, run_oskw, run_oskw1,
-                      run_skw, run_skw1, run_skw2, run_skw3)
+from .runners import (VARIANTS, RunResult, predicted_probability, run_oskw,
+                      run_oskw1, run_skw, run_skw1, run_skw2, run_skw3)
 from .states import (MixedEnsemble, NodeState, make_basis_node_state,
                      make_even_uniform_node_state, make_ghz_node_state,
                      make_interpolated_node_state, make_random_node_state,
@@ -49,15 +50,75 @@ OUT_ENV = "QWSEARCH_OUT"
 CSV_COLUMNS = ("experiment_id", "variant", "n", "tau", "seed", "f_c", "E_g",
                "C_f", "p_avg", "p_pred", "abs_dev", "leaked_weight", "wall_ms")
 
-_VARIANTS = ("skw", "skw1", "skw2", "skw3", "oskw", "oskw1")
-_FAMILIES = ("uniform", "basis", "haar_random", "interpolated", "ghz", "w",
-             "tilted", "even_uniform", "explicit_amplitudes", "mixed_ensemble")
-_FAMILY_ALIASES = {"haar": "haar_random", "explicit": "explicit_amplitudes",
-                   "mixed": "mixed_ensemble"}
-
 
 class ConfigError(ValueError):
     """Anything wrong with a config file or state spec; maps to exit 2."""
+
+
+# ---------------------------------------------------------------------------
+# state families
+
+def _explicit_state(amps: str, n: Optional[int] = None,
+                    config: NumericsConfig = DEFAULT) -> NodeState:
+    """Comma-separated complex amplitudes, normalized; n, when given, must match."""
+    vec = np.array([complex(a) for a in amps.split(",")])
+    if vec.size < 4 or vec.size & (vec.size - 1):
+        raise ConfigError("explicit amplitudes need a power-of-two "
+                          f"length >= 4, got {vec.size}")
+    norm = float(np.linalg.norm(vec))
+    if norm <= 0:
+        raise ConfigError("explicit amplitudes are all zero")
+    state = NodeState(int(vec.size).bit_length() - 1, vec / norm, config)
+    if n is not None and state.n != n:
+        raise ConfigError(f"state.amps encodes n={state.n} qubits but run.n = {n}")
+    return state
+
+
+class _Family(NamedTuple):
+    make: Optional[Callable[..., NodeState]]   # None: built from members
+    params: Mapping[str, object]               # parameter -> default
+    alias: Optional[str] = None
+
+
+_REQUIRED = object()    # parameter without a default
+_ROW_SEED = object()    # defaults to the row's seed
+_FAMILIES = {
+    "uniform": _Family(make_uniform_node_state, {"n": _REQUIRED}),
+    "basis": _Family(make_basis_node_state, {"n": _REQUIRED, "i": 0}),
+    "haar_random": _Family(make_random_node_state,
+                           {"n": _REQUIRED, "seed": _ROW_SEED}, "haar"),
+    "interpolated": _Family(make_interpolated_node_state,
+                            {"n": _REQUIRED, "t": 1.0}),
+    "ghz": _Family(make_ghz_node_state, {"n": _REQUIRED, "alpha": math.pi / 4}),
+    "w": _Family(make_w_node_state, {"n": _REQUIRED}),
+    "tilted": _Family(make_tilted_node_state, {"n": _REQUIRED, "s": 1.0}),
+    "even_uniform": _Family(make_even_uniform_node_state, {"n": _REQUIRED}),
+    "explicit_amplitudes": _Family(_explicit_state,
+                                   {"amps": _REQUIRED, "n": None}, "explicit"),
+    "mixed_ensemble": _Family(None, {}, "mixed"),
+}
+_FAMILY_NAMES = {**{f.alias: name for name, f in _FAMILIES.items() if f.alias},
+                 **{name: name for name in _FAMILIES}}
+
+
+def _build_state(family: str, values: Mapping[str, object], seed: int,
+                 config: NumericsConfig) -> NodeState:
+    """A family's state from typed parameter values; the rest take defaults."""
+    make, params, _ = _FAMILIES[family]
+    kwargs = {}
+    for name, default in params.items():
+        if name in values:
+            kwargs[name] = values[name]
+        elif default is _REQUIRED:
+            raise ConfigError(f"state family {family!r} needs {name}=...")
+        else:
+            kwargs[name] = seed if default is _ROW_SEED else default
+    try:
+        return make(**kwargs, config=config)
+    except ConfigError:
+        raise
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"bad {family} state: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +126,7 @@ class ConfigError(ValueError):
 
 _KNOWN_KEYS = {
     "experiment.id", "run.variant", "run.n", "run.tau_rule", "run.tau",
-    "run.seeds", "run.restarts", "run.threads", "run.measure_entanglement",
+    "run.seeds", "run.restarts", "run.measure_entanglement",
     "run.metric", "run.denominator", "state.family", "state.i", "state.t",
     "state.alpha", "state.s", "state.amps", "state.members",
     "output.csv", "output.summary",
@@ -84,7 +145,6 @@ class ExperimentConfig:
     tau: Optional[int] = None
     seeds: Tuple[int, ...] = (0,)
     restarts: Optional[int] = None
-    threads: int = 1
     measure_entanglement: bool = False
     metric: str = "vertex"
     denominator: str = "even-count"
@@ -172,8 +232,8 @@ def parse_config(text: str) -> ExperimentConfig:
     if "run.variant" not in kv:
         raise ConfigError("missing required key 'run.variant'")
     variant = kv["run.variant"].lower()
-    if variant not in _VARIANTS:
-        raise ConfigError(f"run.variant must be one of {_VARIANTS}, got {variant!r}")
+    if variant not in VARIANTS:
+        raise ConfigError(f"run.variant must be one of {VARIANTS}, got {variant!r}")
     if "run.n" not in kv:
         raise ConfigError("missing required key 'run.n'")
     n = _to_int("run.n", kv["run.n"])
@@ -194,9 +254,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("run.seeds must list at least one seed")
 
     family = kv.get("state.family", "uniform").lower()
-    family = _FAMILY_ALIASES.get(family, family)
+    family = _FAMILY_NAMES.get(family, family)
     if family not in _FAMILIES:
-        raise ConfigError(f"state.family must be one of {_FAMILIES}, got {family!r}")
+        raise ConfigError(f"state.family must be one of {tuple(_FAMILIES)}, "
+                          f"got {family!r}")
 
     params: Dict[str, object] = {}
     if "state.i" in kv:
@@ -240,9 +301,6 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("run.denominator must be even-count or vertex-count, "
                           f"got {denominator!r}")
 
-    threads = _to_int("run.threads", kv.get("run.threads", "1"))
-    if threads < 1:
-        raise ConfigError(f"run.threads must be >= 1, got {threads}")
     restarts = (_to_int("run.restarts", kv["run.restarts"])
                 if "run.restarts" in kv else None)
     if restarts is not None and restarts < 1:
@@ -256,7 +314,6 @@ def parse_config(text: str) -> ExperimentConfig:
         tau=tau,
         seeds=seeds,
         restarts=restarts,
-        threads=threads,
         measure_entanglement=_to_bool("run.measure_entanglement",
                                       kv.get("run.measure_entanglement", "false")),
         metric=metric,
@@ -283,6 +340,10 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # state specs (also the grammar for the `measures` subcommand)
 
+_SPEC_PARSERS = {"n": _to_int, "i": _to_int, "seed": _to_int, "alpha": _to_float,
+                 "t": _to_float, "s": _to_float, "amps": lambda key, value: value}
+
+
 def parse_state_spec(spec: str, default_seed: int = 0,
                      config: NumericsConfig = DEFAULT) -> NodeState:
     """Build a state from 'family:key=value,key=value'.
@@ -292,7 +353,9 @@ def parse_state_spec(spec: str, default_seed: int = 0,
     explicit:amps=0.6,0,0,0.8j (normalized for you).
     """
     family, _, rest = spec.partition(":")
-    family = _FAMILY_ALIASES.get(family.strip().lower(), family.strip().lower())
+    family = _FAMILY_NAMES.get(family.strip().lower())
+    if family is None or _FAMILIES[family].make is None:
+        raise ConfigError(f"unknown state family in {spec!r}")
     kv: Dict[str, str] = {}
     if rest.strip():
         if family == "explicit_amplitudes":
@@ -307,80 +370,23 @@ def parse_state_spec(spec: str, default_seed: int = 0,
                     raise ConfigError(f"bad state spec fragment {part!r} in {spec!r}")
                 key, _, value = part.partition("=")
                 kv[key.strip()] = value.strip()
-
-    def need_n() -> int:
-        if "n" not in kv:
-            raise ConfigError(f"state spec {spec!r} needs n=...")
-        return _to_int("n", kv["n"])
-
-    try:
-        if family == "uniform":
-            return make_uniform_node_state(need_n(), config)
-        if family == "basis":
-            return make_basis_node_state(need_n(), _to_int("i", kv.get("i", "0")),
-                                         config)
-        if family == "haar_random":
-            seed = _to_int("seed", kv["seed"]) if "seed" in kv else default_seed
-            return make_random_node_state(need_n(), seed, config)
-        if family == "ghz":
-            alpha = _to_float("alpha", kv.get("alpha", repr(math.pi / 4)))
-            return make_ghz_node_state(need_n(), alpha, config)
-        if family == "w":
-            return make_w_node_state(need_n(), config)
-        if family == "interpolated":
-            return make_interpolated_node_state(need_n(),
-                                                _to_float("t", kv.get("t", "1")),
-                                                config)
-        if family == "tilted":
-            return make_tilted_node_state(need_n(), _to_float("s", kv.get("s", "1")),
-                                          config)
-        if family == "even_uniform":
-            return make_even_uniform_node_state(need_n(), config)
-        if family == "explicit_amplitudes":
-            if "amps" not in kv:
-                raise ConfigError(f"state spec {spec!r} needs amps=...")
-            amps = np.array([complex(a) for a in kv["amps"].split(",")])
-            if amps.size < 4 or amps.size & (amps.size - 1):
-                raise ConfigError("explicit amplitudes need a power-of-two "
-                                  f"length >= 4, got {amps.size}")
-            norm = float(np.linalg.norm(amps))
-            if norm <= 0:
-                raise ConfigError("explicit amplitudes are all zero")
-            return NodeState(int(amps.size).bit_length() - 1, amps / norm, config)
-    except ConfigError:
-        raise
-    except (ValueError, KeyError) as exc:
-        raise ConfigError(f"bad state spec {spec!r}: {exc}") from None
-    raise ConfigError(f"unknown state family in {spec!r}")
+    values = {key: _SPEC_PARSERS[key](key, kv[key])
+              for key in _FAMILIES[family].params if key in kv}
+    return _build_state(family, values, default_seed, config)
 
 
 def _config_state(cfg: ExperimentConfig, seed: int, sweep_value: Optional[float],
                   numerics: NumericsConfig):
-    params = dict(cfg.family_params)
-    for key in ("t", "alpha", "s"):
-        if isinstance(params.get(key), list):
-            params[key] = sweep_value
-    fam = cfg.state_family
-    if fam == "mixed_ensemble":
+    if cfg.state_family == "mixed_ensemble":
         pairs = tuple((w, parse_state_spec(s, seed, numerics))
                       for w, s in cfg.members)
         try:
             return MixedEnsemble(pairs, numerics)
         except ValueError as exc:
             raise ConfigError(f"bad mixed ensemble: {exc}") from None
-    if fam == "explicit_amplitudes":
-        if "amps" not in params:
-            raise ConfigError("explicit_amplitudes needs state.amps")
-        state = parse_state_spec(f"explicit:amps={params['amps']}", seed, numerics)
-        if state.n != cfg.n:
-            raise ConfigError(f"state.amps encodes n={state.n} qubits "
-                              f"but run.n = {cfg.n}")
-        return state
-    parts = [f"{fam}:n={cfg.n}"]
-    for key, value in params.items():
-        parts.append(f"{key}={value!r}" if isinstance(value, float)
-                     else f"{key}={value}")
-    return parse_state_spec(",".join(parts), seed, numerics)
+    values = {key: sweep_value if isinstance(value, list) else value
+              for key, value in cfg.family_params.items()}
+    return _build_state(cfg.state_family, {**values, "n": cfg.n}, seed, numerics)
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +448,9 @@ def _deviation_bound(variant: str, n: int) -> float:
 
 
 def write_summary(path: str, config_echo: Mapping[str, str],
-                  rows: Sequence[Mapping[str, object]]) -> str:
+                  rows: Sequence[Mapping[str, object]],
+                  extra: Mapping[str, object]) -> str:
+    """Write the JSON summary; `extra` fields follow the standard ones."""
     path = _resolve_out(path)
     parent = os.path.dirname(path)
     if parent:
@@ -461,6 +469,7 @@ def write_summary(path: str, config_echo: Mapping[str, str],
             "within_bound": (float(max(devs)) <= bound) if rows else None,
         },
         "wall_ms_total": float(sum(row["wall_ms"] for row in rows)),
+        **extra,
     }
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2)
@@ -472,48 +481,39 @@ def write_summary(path: str, config_echo: Mapping[str, str],
 # subcommands
 
 def _dispatch_run(cfg: ExperimentConfig, state, seed: int, plan,
-                  threads: int, numerics: NumericsConfig) -> RunResult:
+                  numerics: NumericsConfig) -> RunResult:
+    # skw and oskw build their own start state; skw1 alone takes mixtures
+    if isinstance(state, MixedEnsemble) and cfg.variant != "skw1":
+        raise ConfigError(f"{cfg.variant} needs a pure state family")
     if cfg.variant == "skw":
-        return run_skw(cfg.n, plan, threads=threads, metric=cfg.metric,
-                       config=numerics)
+        return run_skw(cfg.n, plan, metric=cfg.metric, config=numerics)
     if cfg.variant == "skw1":
         return run_skw1(state, plan, seed=seed,
                         measure_entanglement=cfg.measure_entanglement,
-                        restarts=cfg.restarts, threads=threads,
-                        metric=cfg.metric, config=numerics)
+                        restarts=cfg.restarts, metric=cfg.metric,
+                        config=numerics)
     if cfg.variant == "skw2":
-        if isinstance(state, MixedEnsemble):
-            raise ConfigError("skw2 needs a pure state family")
-        return run_skw2(state, plan, cfg.restarts, seed, threads=threads,
-                        metric=cfg.metric, config=numerics)
+        return run_skw2(state, plan, cfg.restarts, seed, metric=cfg.metric,
+                        config=numerics)
     if cfg.variant == "skw3":
-        if isinstance(state, MixedEnsemble):
-            raise ConfigError("skw3 needs a pure state family")
-        return run_skw3(state, plan, threads=threads, metric=cfg.metric,
-                        config=numerics)
+        return run_skw3(state, plan, metric=cfg.metric, config=numerics)
     if cfg.variant == "oskw":
-        return run_oskw(cfg.n, plan, threads=threads, metric=cfg.metric,
-                        config=numerics)
+        return run_oskw(cfg.n, plan, metric=cfg.metric, config=numerics)
     if cfg.variant == "oskw1":
-        if isinstance(state, MixedEnsemble):
-            raise ConfigError("oskw1 needs a pure state family")
         return run_oskw1(state, plan, seed=seed,
                          measure_entanglement=cfg.measure_entanglement,
-                         restarts=cfg.restarts, threads=threads,
-                         metric=cfg.metric, denominator=cfg.denominator,
-                         config=numerics)
+                         restarts=cfg.restarts, metric=cfg.metric,
+                         denominator=cfg.denominator, config=numerics)
     raise ConfigError(f"unknown variant {cfg.variant!r}")
 
 
-def execute_config(cfg: ExperimentConfig,
-                   thread_cap: Optional[int] = None) -> List[Dict[str, object]]:
+def execute_config(cfg: ExperimentConfig) -> List[Dict[str, object]]:
     """All rows for one config, in deterministic config order."""
     try:
         numerics = DEFAULT.replace(**cfg.numerics_overrides)
     except TypeError as exc:
         raise ConfigError(f"bad numerics override: {exc}") from None
     plan = IterationPlan.explicit(cfg.tau) if cfg.tau_rule == "explicit" else None
-    threads = cfg.threads if thread_cap is None else min(cfg.threads, thread_cap)
 
     sweep_values: List[Optional[float]] = [None]
     sweep_lists = [v for v in cfg.family_params.values() if isinstance(v, list)]
@@ -528,17 +528,17 @@ def execute_config(cfg: ExperimentConfig,
             state = None
             if cfg.variant not in ("skw", "oskw"):
                 state = _config_state(cfg, seed, value, numerics)
-            result = _dispatch_run(cfg, state, seed, plan, threads, numerics)
+            result = _dispatch_run(cfg, state, seed, plan, numerics)
             rows.append(result_row(cfg.experiment_id, result, seed))
     return rows
 
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    rows = execute_config(cfg, thread_cap=args.threads)
+    rows = execute_config(cfg)
     try:
         csv_path = write_csv_rows(cfg.output_csv, rows)
-        summary_path = write_summary(cfg.output_summary, cfg.raw, rows)
+        summary_path = write_summary(cfg.output_summary, cfg.raw, rows, {})
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
     print(f"{len(rows)} rows -> {csv_path}")
@@ -553,19 +553,17 @@ def _cmd_sweep(args) -> int:
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
     N = 1 << n
-    threads = args.threads or 1
     rows: List[Dict[str, object]] = []
 
     for k, t in enumerate(np.linspace(0.0, 1.0, args.samples)):
-        res = run_skw1(make_interpolated_node_state(n, float(t)), seed=args.seed,
-                       threads=threads)
+        res = run_skw1(make_interpolated_node_state(n, float(t)), seed=args.seed)
         rows.append(result_row(f"fig4-skw1-{k:02d}", res, args.seed))
     for k, alpha in enumerate(np.linspace(0.0, math.pi / 4.0, args.samples)):
         res = run_skw2(make_ghz_node_state(n, float(alpha)),
-                       restarts=args.restarts, seed=args.seed, threads=threads)
+                       restarts=args.restarts, seed=args.seed)
         rows.append(result_row(f"fig4-skw2-{k:02d}", res, args.seed))
     for k, s in enumerate(np.linspace(1.0 / N, 1.0, args.samples)):
-        res = run_skw3(make_tilted_node_state(n, float(s)), threads=threads)
+        res = run_skw3(make_tilted_node_state(n, float(s)))
         rows.append(result_row(f"fig4-skw3-{k:02d}", res, args.seed))
 
     out_dir = os.path.abspath(args.out or os.environ.get(OUT_ENV, "") or ".")
@@ -591,14 +589,7 @@ def _cmd_sweep(args) -> int:
         worst = max(worst, abs(redone - float(_cell(row["p_pred"]))))
     echo = {"n": str(n), "samples": str(args.samples), "seed": str(args.seed)}
     summary_path = os.path.join(out_dir, "sweep_fig4_summary.json")
-    write_summary(summary_path, echo, rows)
-    with open(summary_path, "r+", encoding="utf-8") as fh:
-        data = json.load(fh)
-        data["p_pred_recompute_max_dev"] = worst
-        fh.seek(0)
-        fh.truncate()
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    write_summary(summary_path, echo, rows, {"p_pred_recompute_max_dev": worst})
     print(f"{len(rows)} rows -> {csv_path}")
     print(f"summary -> {summary_path}")
     if worst > 1e-12:
@@ -680,8 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="execute a configured experiment")
     p_run.add_argument("config", help="path to a dotted key = value config file")
-    p_run.add_argument("--threads", type=int, default=None,
-                       help="cap the worker pool regardless of the config")
     p_run.set_defaults(func=_cmd_run)
 
     p_sweep = sub.add_parser(
@@ -692,7 +681,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--seed", type=int, default=0)
     p_sweep.add_argument("--out", default=None,
                          help=f"output directory (default ${OUT_ENV} or .)")
-    p_sweep.add_argument("--threads", type=int, default=None)
     p_sweep.add_argument("--restarts", type=int, default=None)
     p_sweep.set_defaults(func=_cmd_sweep)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -25,12 +25,6 @@ _PAULI = {
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-# <0| P for each Pauli: X and Y land on <1| (phase immaterial), Z stays <0|
-_PAULI_BRA0 = {
-    "X": np.array([0, 1], dtype=np.complex128),
-    "Y": np.array([0, -1j], dtype=np.complex128),
-    "Z": np.array([1, 0], dtype=np.complex128),
 }
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2)
 
@@ -185,20 +179,15 @@ def _hopm(state: NodeState, restarts: int, seed: int,
     return best_lam2, best_us, all_converged
 
 
-def groverian_entanglement(state: NodeState, restarts: Optional[int] = None,
-                           seed: int = 0,
-                           config: NumericsConfig = DEFAULT) -> ResourceReport:
-    """Full resource report with E_g = sqrt(1 - Lambda^2) from the maximizer.
-
-    The returned E_g errs high only through an under-maximized overlap;
-    f_c and C_f are exact.
-    """
+def _entanglement(state: NodeState, restarts: Optional[int], seed: int,
+                  config: NumericsConfig) -> Tuple[List[np.ndarray], ResourceReport]:
+    """One maximizer run: the optimal product factors and the full report."""
     if restarts is None:
         restarts = config.hopm_restarts
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    lam2, _, converged = _hopm(state, restarts, seed, config)
-    return ResourceReport(
+    lam2, us, converged = _hopm(state, restarts, seed, config)
+    return us, ResourceReport(
         f_c=coherence_fraction(state),
         C_f=fidelity_coherence(state),
         E_g=math.sqrt(max(0.0, 1.0 - lam2)),
@@ -208,20 +197,29 @@ def groverian_entanglement(state: NodeState, restarts: Optional[int] = None,
     )
 
 
+def groverian_entanglement(state: NodeState, restarts: Optional[int] = None,
+                           seed: int = 0,
+                           config: NumericsConfig = DEFAULT) -> ResourceReport:
+    """Full resource report with E_g = sqrt(1 - Lambda^2) from the maximizer.
+
+    The returned E_g errs high only through an under-maximized overlap;
+    f_c and C_f are exact.
+    """
+    return _entanglement(state, restarts, seed, config)[1]
+
+
 def optimize_local_layer_detailed(
         state: NodeState, restarts: Optional[int] = None, seed: int = 0,
         config: NumericsConfig = DEFAULT,
 ) -> Tuple[LocalLayer, float, ResourceReport]:
-    """Layer optimizer that also reports the resources of the input state.
+    """Best local layer maximizing the transformed state's coherence fraction,
+    the value it achieves, and the resources of the input state.
 
-    One maximizer run feeds both the layer construction and the
-    entanglement entry of the report, so callers that need both pay once.
+    Runs the product-overlap maximizer once, then builds U_j sending the
+    optimal factor |u_j> to |+>; the achieved value is recomputed end to end
+    as |<uniform| (x)U_j |psi>|^2 rather than echoed from the optimizer.
     """
-    if restarts is None:
-        restarts = config.hopm_restarts
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
-    lam2, us, converged = _hopm(state, restarts, seed, config)
+    us, report = _entanglement(state, restarts, seed, config)
     plus = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
     minus = np.array([1, -1], dtype=np.complex128) / math.sqrt(2)
     factors = []
@@ -231,66 +229,4 @@ def optimize_local_layer_detailed(
     layer = LocalLayer(tuple(factors), config)
     eta = make_uniform_node_state(state.n, config)
     achieved = float(abs(overlap(eta, apply_local_layer(state, layer, config))) ** 2)
-    report = ResourceReport(
-        f_c=coherence_fraction(state),
-        C_f=fidelity_coherence(state),
-        E_g=math.sqrt(max(0.0, 1.0 - lam2)),
-        E_g_overlap=lam2,
-        restarts_used=restarts,
-        converged=converged,
-    )
     return layer, achieved, report
-
-
-def optimize_local_layer_for_eta_overlap(
-        state: NodeState, restarts: Optional[int] = None, seed: int = 0,
-        config: NumericsConfig = DEFAULT) -> Tuple[LocalLayer, float]:
-    """Best local layer maximizing the transformed state's coherence fraction.
-
-    Runs the product-overlap maximizer, then builds U_j sending the optimal
-    factor |u_j> to |+>; the achieved value is recomputed end to end as
-    |<uniform| (x)U_j |psi>|^2 rather than echoed from the optimizer.
-    """
-    layer, achieved, _ = optimize_local_layer_detailed(state, restarts, seed, config)
-    return layer, achieved
-
-
-# ---------------------------------------------------------------------------
-# exhaustive Pauli-layer search
-
-def enumerate_pauli_layers(state: NodeState,
-                           config: NumericsConfig = DEFAULT) -> Tuple[LocalLayer, float]:
-    """Exhaustive max of |<0...0| (x)V_j |psi>|^2 over all 3^n Pauli layers.
-
-    Evaluated as a three-way contraction tree over qubits, O(3^n) overall,
-    guarded by config.pauli_guard_n. The first maximal layer in X, Y, Z
-    order is returned; the value always equals max_i |a_i|^2 because X and
-    Y flip a qubit while Z does not, so every bit pattern is reachable.
-    """
-    n = state.n
-    if n > config.pauli_guard_n:
-        raise ValueError(
-            f"3^{n} layer enumeration exceeds guard n <= {config.pauli_guard_n}"
-        )
-    best_val = -1.0
-    best_letters: Tuple[str, ...] = ()
-    letters: List[str] = []
-
-    def descend(tensor: np.ndarray) -> None:
-        nonlocal best_val, best_letters
-        if tensor.ndim == 0:
-            # same magnitude kernel as best_pauli_basis, so exact ties agree
-            val = float(np.abs(tensor) ** 2)
-            if val > best_val:
-                best_val = val
-                best_letters = tuple(letters)
-            return
-        for name in "XYZ":
-            letters.append(name)
-            descend(np.tensordot(_PAULI_BRA0[name], tensor, axes=([0], [0])))
-            letters.pop()
-
-    descend(state.amplitudes.reshape((2,) * n))
-    # axis 0 held qubit n-1, so the recorded letters run from qubit n-1 down
-    layer = pauli_layer("".join(reversed(best_letters)))
-    return layer, float(best_val)

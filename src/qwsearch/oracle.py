@@ -2,22 +2,22 @@
 
 Everything here re-derives results through a second route: dense operator
 matrices assembled entry by entry (never the matrix-free kernels), an
-exhaustive Bloch-angle grid for the best product overlap, and standalone
-identity checks. Shared with the rest of the package are only data types,
-not operator-application code.
+exhaustive Bloch-angle grid for the best product overlap, the exhaustive
+3^n Pauli-layer search, and standalone identity checks. Shared with the
+rest of the package are only data types, not operator-application code.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .config import DEFAULT, InvariantViolation, NumericsConfig
-from .measures import (best_pauli_basis, enumerate_pauli_layers,
-                       groverian_entanglement, optimize_local_layer_for_eta_overlap)
+from .measures import (LocalLayer, best_pauli_basis, optimize_local_layer_detailed,
+                       pauli_layer)
 from .states import NodeState, WalkerState, make_random_node_state
 from .walk import OSKW, SKW, IterationPlan, WalkSpec
 
@@ -26,15 +26,6 @@ from .walk import OSKW, SKW, IterationPlan, WalkSpec
 class DenseOperator:
     dim: int
     entries: np.ndarray
-
-
-def _dense_coin(name: str, n: int) -> np.ndarray:
-    # local construction on purpose; this module must not borrow kernels
-    if name == "grover":
-        return (2.0 / n) * np.ones((n, n), dtype=np.complex128) - np.eye(n)
-    if name == "negidentity":
-        return -np.eye(n, dtype=np.complex128)
-    raise ValueError(f"unknown coin {name!r}")
 
 
 def _dense_shift(n: int, N: int) -> np.ndarray:
@@ -57,8 +48,9 @@ def build_dense_evolution(spec: WalkSpec,
             f"dense build at n={spec.n} exceeds guard n <= {config.dense_guard_n}"
         )
     n, N = spec.n, spec.node_count
-    C0 = _dense_coin(spec.coin0, n)
-    C1 = _dense_coin(spec.coin1, n)
+    # the coins are built here on purpose; this module must not borrow kernels
+    C0 = (2.0 / n) * np.ones((n, n), dtype=np.complex128) - np.eye(n)
+    C1 = -np.eye(n, dtype=np.complex128)
     proj_tg = np.zeros((N, N), dtype=np.complex128)
     proj_tg[spec.target, spec.target] = 1.0
     C = np.kron(C0, np.eye(N)) + np.kron(C1 - C0, proj_tg)
@@ -101,14 +93,62 @@ def xor_covariance_deviation(n: int, shift: int, target: int, variant: str = SKW
     if not 0 <= shift < N:
         raise ValueError(f"shift {shift} out of range for {N} vertices")
     cfg = config.replace(dense_guard_n=max(config.dense_guard_n, n))
-    spec_a = WalkSpec(n=n, node_count=N, target=target, variant=variant, config=cfg)
-    spec_b = WalkSpec(n=n, node_count=N, target=target ^ shift, variant=variant,
-                      config=cfg)
+    spec_a = WalkSpec(n=n, node_count=N, target=target, variant=variant)
+    spec_b = WalkSpec(n=n, node_count=N, target=target ^ shift, variant=variant)
     Va = build_dense_evolution(spec_a, cfg).entries
     Vb = build_dense_evolution(spec_b, cfg).entries
     x = np.arange(N)
     perm = np.concatenate([d * N + (x ^ shift) for d in range(n)])
     return float(np.max(np.abs(Va[perm][:, perm] - Vb)))
+
+
+# ---------------------------------------------------------------------------
+# exhaustive Pauli-layer search
+
+# <0| P for each Pauli: X and Y land on <1| (phase immaterial), Z stays <0|
+_PAULI_BRA0 = {
+    "X": np.array([0, 1], dtype=np.complex128),
+    "Y": np.array([0, -1j], dtype=np.complex128),
+    "Z": np.array([1, 0], dtype=np.complex128),
+}
+
+
+def enumerate_pauli_layers(state: NodeState,
+                           config: NumericsConfig = DEFAULT) -> Tuple[LocalLayer, float]:
+    """Exhaustive max of |<0...0| (x)V_j |psi>|^2 over all 3^n Pauli layers.
+
+    Evaluated as a three-way contraction tree over qubits, O(3^n) overall,
+    guarded by config.pauli_guard_n. The first maximal layer in X, Y, Z
+    order is returned; the value always equals max_i |a_i|^2 because X and
+    Y flip a qubit while Z does not, so every bit pattern is reachable.
+    """
+    n = state.n
+    if n > config.pauli_guard_n:
+        raise ValueError(
+            f"3^{n} layer enumeration exceeds guard n <= {config.pauli_guard_n}"
+        )
+    best_val = -1.0
+    best_letters: Tuple[str, ...] = ()
+    letters: List[str] = []
+
+    def descend(tensor: np.ndarray) -> None:
+        nonlocal best_val, best_letters
+        if tensor.ndim == 0:
+            # same magnitude kernel as best_pauli_basis, so exact ties agree
+            val = float(np.abs(tensor) ** 2)
+            if val > best_val:
+                best_val = val
+                best_letters = tuple(letters)
+            return
+        for name in "XYZ":
+            letters.append(name)
+            descend(np.tensordot(_PAULI_BRA0[name], tensor, axes=([0], [0])))
+            letters.pop()
+
+    descend(state.amplitudes.reshape((2,) * n))
+    # axis 0 held qubit n-1, so the recorded letters run from qubit n-1 down
+    layer = pauli_layer("".join(reversed(best_letters)))
+    return layer, float(best_val)
 
 
 # ---------------------------------------------------------------------------
@@ -236,9 +276,8 @@ def verify_theorem_identities(n: int, trials: int, seed: int = 0,
     worst_layer = worst_pauli = 0.0
     for k in range(trials):
         psi = make_random_node_state(n, seed + k, config)
-        _, achieved = optimize_local_layer_for_eta_overlap(psi, seed=seed + k,
-                                                           config=config)
-        report = groverian_entanglement(psi, seed=seed + k, config=config)
+        _, achieved, report = optimize_local_layer_detailed(psi, seed=seed + k,
+                                                            config=config)
         dev_a = abs(achieved - (1.0 - report.E_g ** 2))
         _, pauli_val = enumerate_pauli_layers(psi, config)
         _, basis_val = best_pauli_basis(psi)

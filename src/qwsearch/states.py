@@ -76,7 +76,7 @@ class MixedEnsemble:
         if any(p < 0 for p, _ in members):
             raise ValueError("ensemble weights must be non-negative")
         total = sum(p for p, _ in members)
-        if abs(total - 1.0) > 1e-12:
+        if abs(total - 1.0) > self.config.strict_tol:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
         object.__setattr__(self, "members", members)
 

@@ -6,14 +6,15 @@ perturbed coin (C0 everywhere, C1 at the marked vertex). The optimized
 variant interleaves an unmarked step after each marked one,
 V_opt = S (C0 x I) S C, so a single application consumes two shift rounds.
 
-No operator matrix over the node space is ever formed; the shift is a
-gather and the coin is an n x n action on the direction axis.
+C0 is the Grover coin (2/n)J - I and C1 = -I, the fixed coins of the
+Shenvi-Kempe-Whaley search. No operator matrix is ever formed: the shift
+is a gather and C0 is twice the column mean minus the column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -24,21 +25,10 @@ from .states import NodeState, WalkerState
 SKW = "skw"
 OSKW = "oskw"
 
-_COIN_NAMES = ("grover", "negidentity")
-
-
-def coin_matrix(name: str, n: int) -> np.ndarray:
-    """Dense n x n coin. 'grover' is (2/n)J - I, 'negidentity' is -I."""
-    if name == "grover":
-        return (2.0 / n) * np.ones((n, n), dtype=np.complex128) - np.eye(n)
-    if name == "negidentity":
-        return -np.eye(n, dtype=np.complex128)
-    raise ValueError(f"unknown coin {name!r}; choose from {_COIN_NAMES}")
-
 
 @dataclass(frozen=True)
 class WalkSpec:
-    """Which walk to run: dimensions, marked vertex, and coin choices.
+    """Which walk to run: dimensions, marked vertex and variant.
 
     `n` is the direction count and the walk hypercube dimension, so
     node_count must equal 2**n. Optimized-variant callers build the spec
@@ -49,9 +39,6 @@ class WalkSpec:
     node_count: int
     target: int
     variant: str = SKW
-    coin0: str = "grover"
-    coin1: str = "negidentity"
-    config: NumericsConfig = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -68,11 +55,6 @@ class WalkSpec:
             raise ValueError(
                 f"optimized walk needs an even-Hamming-weight target, got {self.target:#b}"
             )
-        for name in (self.coin0, self.coin1):
-            C = coin_matrix(name, self.n)
-            err = np.max(np.abs(C.conj().T @ C - np.eye(self.n)))
-            if err > self.config.unitary_tol:
-                raise ValueError(f"coin {name!r} not unitary: deviation {err}")
 
 
 @dataclass(frozen=True)
@@ -111,30 +93,43 @@ class IterationPlan:
 
 
 # ---------------------------------------------------------------------------
-# elementary operators
+# grid-level kernels on the (n, node_count) walker array
 
 def _shift_index(n: int, node_count: int) -> np.ndarray:
+    """Flat source of each (d, x) after the shift: d * node_count + (x ^ 2^d)."""
     x = np.arange(node_count)
-    return np.array([x ^ (1 << d) for d in range(n)])
+    return np.array([d * node_count + (x ^ (1 << d)) for d in range(n)])
 
+
+def _grover(grid: np.ndarray) -> np.ndarray:
+    """C0 = (2/n)J - I on every column: twice the column mean minus the column."""
+    return (2.0 / grid.shape[0]) * grid.sum(axis=0) - grid
+
+
+def _marked_coin(grid: np.ndarray, target: int) -> np.ndarray:
+    """C0 everywhere except C1 = -I on the target column."""
+    out = _grover(grid)
+    out[:, target] = -grid[:, target]
+    return out
+
+
+def _shift(grid: np.ndarray, index: np.ndarray) -> np.ndarray:
+    return grid.ravel()[index]
+
+
+# ---------------------------------------------------------------------------
+# elementary operators
 
 def apply_shift(state: WalkerState) -> WalkerState:
     """Move amplitude (d, x) to (d, x XOR (1 << d)); an exact permutation."""
-    grid = state.grid()
-    rows = np.arange(state.n)[:, None]
-    out = grid[rows, _shift_index(state.n, state.node_count)]
+    out = _shift(state.grid(), _shift_index(state.n, state.node_count))
     return WalkerState(state.n, state.node_count, out.ravel(), state.config)
 
 
 def apply_perturbed_coin(state: WalkerState, spec: WalkSpec) -> WalkerState:
-    """Multiply each vertex's coin vector by C0, except C1 at the target."""
+    """Grover coin on each vertex's coin vector, -I at the target."""
     _check_dims(state, spec)
-    grid = state.grid()
-    C0 = coin_matrix(spec.coin0, spec.n)
-    C1 = coin_matrix(spec.coin1, spec.n)
-    tg_col = grid[:, spec.target].copy()
-    out = C0 @ grid
-    out[:, spec.target] = C1 @ tg_col
+    out = _marked_coin(state.grid(), spec.target)
     return WalkerState(state.n, state.node_count, out.ravel(), state.config)
 
 
@@ -161,29 +156,20 @@ def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan,
     Norm is checked against config.conservation_tol after every step.
     """
     _check_dims(state, spec)
-    n, N = spec.n, spec.node_count
-    C0 = coin_matrix(spec.coin0, n)
-    C1 = coin_matrix(spec.coin1, n)
-    shift_idx = _shift_index(n, N)
-    rows = np.arange(n)[:, None]
-    tg = spec.target
-
-    grid = state.grid().copy()
+    index = _shift_index(spec.n, spec.node_count)
+    grid = state.grid()
     steps = plan.tau if spec.variant == SKW else plan.tau // 2
     for _ in range(steps):
-        tg_col = grid[:, tg].copy()
-        grid = C0 @ grid
-        grid[:, tg] = C1 @ tg_col
-        grid = grid[rows, shift_idx]
+        grid = _shift(_marked_coin(grid, spec.target), index)
         if spec.variant == OSKW:
-            grid = C0 @ grid
-            grid = grid[rows, shift_idx]
-        total = float(np.vdot(grid, grid).real)
+            grid = _shift(_grover(grid), index)
+        # squares of the float view, summed without a BLAS call (unlike vdot)
+        total = float(np.square(grid.view(np.float64)).sum())
         if abs(total - 1.0) > config.conservation_tol:
             raise InvariantViolation(
                 "walker norm conservation", f"total probability {total!r}"
             )
-    return WalkerState(n, N, grid.ravel(), config)
+    return WalkerState(spec.n, spec.node_count, grid.ravel(), config)
 
 
 def project_even_parity(state: NodeState,

@@ -177,6 +177,8 @@ output.summary = summary.json
      "one family parameter"),
     ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
      "numerics.not_a_field = 1", "numerics"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\nrun.threads = 2",
+     "unknown key"),
 ])
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, text, fragment):
     monkeypatch.chdir(tmp_path)
@@ -301,24 +303,3 @@ def test_sweep_fig4_overwrites(tmp_path, capsys):
     rows = _read_rows(out / "sweep_fig4.csv")
     assert len(rows) == 6  # fresh file each time, not an append
 
-
-def test_thread_cap_matches_serial(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    text = """
-experiment.id = thr{tag}
-run.variant = skw1
-run.n = 5
-run.threads = {threads}
-state.family = haar_random
-output.csv = {tag}.csv
-output.summary = {tag}.json
-"""
-    assert main(["run", _write(tmp_path / "one.txt",
-                               text.format(tag="one", threads=1))]) == 0
-    assert main(["run", _write(tmp_path / "four.txt",
-                               text.format(tag="four", threads=4)),
-                 "--threads", "2"]) == 0
-    one = _read_rows(tmp_path / "one.csv")[0]
-    four = _read_rows(tmp_path / "four.csv")[0]
-    assert one["p_avg"] == four["p_avg"]
-    assert one["abs_dev"] == four["abs_dev"]

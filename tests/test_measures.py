@@ -12,8 +12,7 @@ from qwsearch import (DEFAULT, MixedEnsemble, NodeState, apply_local_layer,
                       make_even_uniform_node_state,
                       make_ghz_node_state, make_random_node_state,
                       make_uniform_node_state, make_w_node_state,
-                      optimize_local_layer_detailed,
-                      optimize_local_layer_for_eta_overlap, overlap)
+                      optimize_local_layer_detailed, overlap)
 
 
 def _state(amps):
@@ -131,8 +130,8 @@ def test_enumerate_pauli_layers_guard():
 
 
 def test_optimizer_product_state():
-    layer, achieved = optimize_local_layer_for_eta_overlap(_product_state(4, 5),
-                                                           seed=2)
+    layer, achieved, _ = optimize_local_layer_detailed(_product_state(4, 5),
+                                                       seed=2)
     assert achieved == pytest.approx(1.0, abs=1e-8)
     out = apply_local_layer(_product_state(4, 5), layer)
     assert abs(overlap(make_uniform_node_state(4), out)) ** 2 == pytest.approx(
@@ -140,8 +139,8 @@ def test_optimizer_product_state():
 
 
 def test_optimizer_ghz3():
-    _, achieved = optimize_local_layer_for_eta_overlap(make_ghz_node_state(3),
-                                                       seed=2)
+    _, achieved, _ = optimize_local_layer_detailed(make_ghz_node_state(3),
+                                                   seed=2)
     assert achieved == pytest.approx(0.5, abs=1e-6)
 
 

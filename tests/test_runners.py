@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 
-from qwsearch import (InvariantViolation, MixedEnsemble, NodeState,
-                      ResourceReport, RunResult, make_basis_node_state,
+from qwsearch import (InvariantViolation, IterationPlan, MixedEnsemble,
+                      NodeState, ResourceReport, RunResult, WalkSpec,
+                      apply_local_layer, compose_walker, enumerate_pauli_layers,
+                      evolve_dense, hadamard_layer, make_basis_node_state,
                       make_even_uniform_node_state, make_ghz_node_state,
                       make_interpolated_node_state, make_random_node_state,
                       make_tilted_node_state, make_uniform_node_state,
-                      predicted_probability, run_oskw, run_oskw1, run_skw,
-                      run_skw1, run_skw2, run_skw3)
+                      predicted_probability, project_even_parity, run_oskw,
+                      run_oskw1, run_skw, run_skw1, run_skw2, run_skw3,
+                      success_probability, uniform_coin)
 
 BOUND_N8 = 3 / math.sqrt(2 ** 8)
 
@@ -121,14 +124,17 @@ def test_skw3_uniform_floor():
 
 
 def test_skw3_selection_routes_agree():
-    for seed in range(20):
-        s = make_random_node_state(5, seed)
-        a = run_skw3(s, selection="exhaustive")
-        b = run_skw3(s, selection="analytic")
-        assert abs(a.p_pred - b.p_pred) < 1e-12
+    # the closed-form Pauli frame walks as well as the exhaustively chosen one
+    n = 5
+    states = [make_random_node_state(n, seed) for seed in range(20)]
+    states += [make_uniform_node_state(n), make_tilted_node_state(n, 1 / 2 ** n)]
+    for s in states:
+        layer, _ = enumerate_pauli_layers(s)
+        framed = apply_local_layer(apply_local_layer(s, layer), hadamard_layer(n))
+        a = run_skw3(s)
+        b = run_skw1(framed)
         assert abs(a.p_avg - b.p_avg) < 1e-12
-    with pytest.raises(ValueError):
-        run_skw3(make_uniform_node_state(4), selection="nope")
+        assert abs(a.p_pred - b.p_pred) < 1e-12
 
 
 def test_skw3_below_skw2():
@@ -208,12 +214,40 @@ def test_run_result_validation():
                   wall_ms=1.0)
 
 
-def test_threads_do_not_change_results():
-    s = make_random_node_state(5, seed=4)
-    one = run_skw1(s, threads=1)
-    two = run_skw1(s, threads=2)
-    assert one.p_avg == two.p_avg
-    assert one.per_target == two.per_target
+def test_run_result_checks_parity_walk_average():
+    # even targets of a 3-direction walk; p_avg follows the declared divisor
+    rep = ResourceReport(f_c=0.5, C_f=0.5)
+    per_target = ((0, 0.5), (3, 0.25), (5, 0.75), (6, 0.5))
+    for denominator, p_avg in (("even-count", 0.5), ("vertex-count", 0.25)):
+        def make(p):
+            return RunResult(variant="oskw1", n=3, tau=2, per_target=per_target,
+                             p_avg=p, p_pred=0.5, abs_dev=abs(p - 0.5),
+                             resource=rep, seed=0, wall_ms=1.0,
+                             leaked_weight=0.1, denominator=denominator)
+        assert make(p_avg).p_avg == p_avg
+        with pytest.raises(InvariantViolation):
+            make(p_avg + 1e-6)
+    with pytest.raises(ValueError):
+        RunResult(variant="oskw1", n=3, tau=2, per_target=per_target, p_avg=0.5,
+                  p_pred=0.5, abs_dev=0.0, resource=rep, seed=0, wall_ms=1.0,
+                  denominator="nope")
+
+
+@pytest.mark.parametrize("metric", ["vertex", "gamma"])
+@pytest.mark.parametrize("tau", [0, 7])
+@pytest.mark.parametrize("n", [3, 5])
+def test_per_target_matches_dense_oracle(n, tau, metric):
+    N = 2 ** n
+    plan = IterationPlan.explicit(tau)
+    s = make_random_node_state(n, seed=10 * n + tau)
+    projected, _ = project_even_parity(s)
+    for run, node, variant in ((run_skw1, s, "skw"), (run_oskw1, projected, "oskw")):
+        res = run(s, plan, metric=metric)
+        start = compose_walker(uniform_coin(n), node)
+        for tg, p in res.per_target:
+            spec = WalkSpec(n=n, node_count=N, target=tg, variant=variant)
+            ref = success_probability(evolve_dense(start, spec, plan), tg, metric)
+            assert abs(p - ref) <= 1e-12
 
 
 def test_gamma_metric_runner():

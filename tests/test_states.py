@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwsearch import (LocalLayer, MixedEnsemble, NodeState, apply_local_layer,
-                      compose_walker, hadamard_layer, identity_layer,
+from qwsearch import (DEFAULT, LocalLayer, MixedEnsemble, NodeState,
+                      apply_local_layer, compose_walker, hadamard_layer,
+                      identity_layer,
                       make_basis_node_state, make_even_uniform_node_state,
                       make_ghz_node_state, make_interpolated_node_state,
                       make_random_node_state, make_tilted_node_state,
@@ -170,6 +171,18 @@ def test_mixed_ensemble_validation():
         MixedEnsemble(((0.7, eta), (0.5, b0)))  # weights must sum to one
     with pytest.raises(ValueError):
         MixedEnsemble(((0.5, eta), (0.5, make_basis_node_state(2, 0))))
+
+
+def test_mixed_ensemble_weight_tolerance_from_config():
+    eta = make_uniform_node_state(3)
+    b0 = make_basis_node_state(3, 0)
+    off = ((0.5, eta), (0.5 + 1e-9, b0))
+    with pytest.raises(ValueError):
+        MixedEnsemble(off)
+    assert MixedEnsemble(off, DEFAULT.replace(strict_tol=1e-8)).n == 3
+    with pytest.raises(ValueError):
+        MixedEnsemble(((0.5, eta), (0.5 + 1e-13, b0)),
+                      DEFAULT.replace(strict_tol=1e-14))
 
 
 def test_even_uniform_support_and_norm():

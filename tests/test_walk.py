@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from qwsearch import (DEFAULT, OSKW, SKW, IterationPlan, WalkSpec,
                       WalkerState, apply_perturbed_coin, apply_shift,
-                      build_dense_evolution, coin_matrix, compose_walker,
+                      build_dense_evolution, compose_walker,
                       evolve, evolve_dense, make_basis_node_state,
                       make_uniform_node_state,
                       project_even_parity, success_probability, uniform_coin)
@@ -20,17 +20,30 @@ def _spec(n, target=0, variant=SKW):
     return WalkSpec(n=n, node_count=2 ** n, target=target, variant=variant)
 
 
+def _coin_operator(n, target):
+    """Matrix of apply_perturbed_coin, one basis walker per column."""
+    dim = n * 2 ** n
+    cols = [apply_perturbed_coin(WalkerState(n, 2 ** n, np.eye(dim)[k]),
+                                 _spec(n, target=target)).amplitudes
+            for k in range(dim)]
+    return np.array(cols).T
+
+
 def test_coin_matrix_n2_is_swap():
-    G = coin_matrix("grover", 2)
-    assert np.allclose(G, [[0, 1], [1, 0]], atol=0)
+    # two directions: away from the mark the Grover coin swaps them
+    M = _coin_operator(2, target=3)
+    for x in range(3):
+        block = M[np.ix_([x, 4 + x], [x, 4 + x])]
+        assert np.allclose(block, [[0, 1], [1, 0]], atol=1e-15)
 
 
 def test_coin_matrix_unitary():
-    for n in (2, 3, 5, 8):
-        G = coin_matrix("grover", n)
-        assert np.max(np.abs(G @ G.conj().T - np.eye(n))) < 1e-14
-    M = coin_matrix("negidentity", 4)
-    assert np.array_equal(M, -np.eye(4))
+    for n in (2, 3, 5):
+        N = 2 ** n
+        M = _coin_operator(n, target=N - 1)
+        assert np.max(np.abs(M @ M.conj().T - np.eye(n * N))) < 1e-14
+        at_mark = (np.arange(n) * N + N - 1)
+        assert np.array_equal(M[np.ix_(at_mark, at_mark)], -np.eye(n))
 
 
 def test_walk_spec_validation():
@@ -102,9 +115,9 @@ def test_perturbed_coin_at_target():
 
 def test_uniform_coin_is_grover_fixed_point():
     for n in (2, 3, 6):
-        G = coin_matrix("grover", n)
-        c = uniform_coin(n)
-        assert np.max(np.abs(G @ c - c)) < 1e-14
+        w = compose_walker(uniform_coin(n), make_basis_node_state(n, 1))
+        out = apply_perturbed_coin(w, _spec(n, target=0))
+        assert np.max(np.abs(out.amplitudes - w.amplitudes)) < 1e-14
 
 
 def test_evolve_zero_steps_identity():
@@ -230,6 +243,6 @@ def test_conservation_guard_trips():
     from qwsearch import InvariantViolation
     cfg = DEFAULT.replace(conservation_tol=1e-18)
     w = compose_walker(uniform_coin(5), make_uniform_node_state(5))
-    spec = WalkSpec(n=5, node_count=32, target=0, config=cfg)
+    spec = WalkSpec(n=5, node_count=32, target=0)
     with pytest.raises(InvariantViolation):
         evolve(w, spec, IterationPlan.explicit(10), config=cfg)
