@@ -9,7 +9,7 @@ an independent oracle module re-derives everything densely for cross
 checks at small sizes.
 """
 
-from .config import DEFAULT, InvariantViolation, NumericsConfig
+from .config import InvariantViolation
 from .states import (MixedEnsemble, NodeState, WalkerState, apply_local_layer,
                      compose_walker, make_basis_node_state,
                      make_even_uniform_node_state, make_ghz_node_state,
@@ -34,7 +34,7 @@ from .oracle import (DenseOperator, build_dense_evolution,
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT", "InvariantViolation", "NumericsConfig",
+    "InvariantViolation",
     "MixedEnsemble", "NodeState", "WalkerState", "apply_local_layer",
     "compose_walker", "make_basis_node_state", "make_even_uniform_node_state",
     "make_ghz_node_state", "make_interpolated_node_state",

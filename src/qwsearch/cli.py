@@ -19,19 +19,18 @@ Relative output paths resolve against $QWSEARCH_OUT when it is set.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import os
 import re
 import sys
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, List, Mapping, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 import numpy as np
 
-from .config import DEFAULT, InvariantViolation, NumericsConfig
+from .config import DENSE_GUARD_N, IDENTITY_CHECK_GUARD_N, InvariantViolation
 from .measures import ResourceReport, groverian_entanglement
 from .runners import (VARIANTS, RunResult, predicted_probability, run_oskw,
                       run_oskw1, run_skw, run_skw1, run_skw2, run_skw3)
@@ -58,8 +57,7 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------------------
 # state families
 
-def _explicit_state(amps: str, n: Optional[int] = None,
-                    config: NumericsConfig = DEFAULT) -> NodeState:
+def _explicit_state(amps: str, n: Optional[int] = None) -> NodeState:
     """Comma-separated complex amplitudes, normalized; n, when given, must match."""
     vec = np.array([complex(a) for a in amps.split(",")])
     if vec.size < 4 or vec.size & (vec.size - 1):
@@ -68,7 +66,7 @@ def _explicit_state(amps: str, n: Optional[int] = None,
     norm = float(np.linalg.norm(vec))
     if norm <= 0:
         raise ConfigError("explicit amplitudes are all zero")
-    state = NodeState(int(vec.size).bit_length() - 1, vec / norm, config)
+    state = NodeState(int(vec.size).bit_length() - 1, vec / norm)
     if n is not None and state.n != n:
         raise ConfigError(f"state.amps encodes n={state.n} qubits but run.n = {n}")
     return state
@@ -101,8 +99,15 @@ _FAMILY_NAMES = {**{f.alias: name for name, f in _FAMILIES.items() if f.alias},
                  **{name: name for name in _FAMILIES}}
 
 
-def _build_state(family: str, values: Mapping[str, object], seed: int,
-                 config: NumericsConfig) -> NodeState:
+def _check_params(family: str, names: Iterable[str]) -> None:
+    """Reject any parameter the family's table does not list."""
+    for name in names:
+        if name not in _FAMILIES[family].params:
+            raise ConfigError(f"state family {family!r} does not take {name}")
+
+
+def _build_state(family: str, values: Mapping[str, object],
+                 seed: int) -> NodeState:
     """A family's state from typed parameter values; the rest take defaults."""
     make, params, _ = _FAMILIES[family]
     kwargs = {}
@@ -114,7 +119,7 @@ def _build_state(family: str, values: Mapping[str, object], seed: int,
         else:
             kwargs[name] = seed if default is _ROW_SEED else default
     try:
-        return make(**kwargs, config=config)
+        return make(**kwargs)
     except ConfigError:
         raise
     except (ValueError, KeyError) as exc:
@@ -153,7 +158,6 @@ class ExperimentConfig:
     members: Tuple[Tuple[float, str], ...] = ()
     output_csv: str = "results.csv"
     output_summary: str = "summary.json"
-    numerics_overrides: Mapping[str, float] = field(default_factory=dict)
     raw: Mapping[str, str] = field(default_factory=dict)
 
 
@@ -206,21 +210,12 @@ def parse_config(text: str) -> ExperimentConfig:
     """Parse config text; raises ConfigError on any problem."""
     kv = _parse_kv_text(text)
     members: Dict[int, Dict[str, str]] = {}
-    numerics: Dict[str, float] = {}
     for key, value in kv.items():
         if key in _KNOWN_KEYS:
             continue
         m = _MEMBER_KEY.match(key)
         if m:
             members.setdefault(int(m.group(1)), {})[m.group(2)] = value
-            continue
-        if key.startswith("numerics."):
-            fname = key[len("numerics."):]
-            if fname not in {f.name for f in dataclasses.fields(NumericsConfig)}:
-                raise ConfigError(f"unknown numerics field {fname!r}")
-            fkind = {f.name: f.type for f in dataclasses.fields(NumericsConfig)}[fname]
-            numerics[fname] = (_to_int(key, value) if fkind == "int"
-                               else _to_float(key, value))
             continue
         raise ConfigError(f"unknown key {key!r}")
 
@@ -268,6 +263,7 @@ def parse_config(text: str) -> ExperimentConfig:
             params[pname] = vals if len(vals) > 1 else vals[0]
     if "state.amps" in kv:
         params["amps"] = kv["state.amps"]
+    _check_params(family, params)
     t_vals = params.get("t")
     if t_vals is not None:
         for t in (t_vals if isinstance(t_vals, list) else [t_vals]):
@@ -323,7 +319,6 @@ def parse_config(text: str) -> ExperimentConfig:
         members=tuple(member_list),
         output_csv=kv.get("output.csv", "results.csv"),
         output_summary=kv.get("output.summary", "summary.json"),
-        numerics_overrides=numerics,
         raw=dict(kv),
     )
 
@@ -344,8 +339,7 @@ _SPEC_PARSERS = {"n": _to_int, "i": _to_int, "seed": _to_int, "alpha": _to_float
                  "t": _to_float, "s": _to_float, "amps": lambda key, value: value}
 
 
-def parse_state_spec(spec: str, default_seed: int = 0,
-                     config: NumericsConfig = DEFAULT) -> NodeState:
+def parse_state_spec(spec: str, default_seed: int = 0) -> NodeState:
     """Build a state from 'family:key=value,key=value'.
 
     Families: uniform:n=4; basis:n=3,i=5; haar:n=8,seed=7; ghz:n=3[,alpha=...];
@@ -370,23 +364,25 @@ def parse_state_spec(spec: str, default_seed: int = 0,
                     raise ConfigError(f"bad state spec fragment {part!r} in {spec!r}")
                 key, _, value = part.partition("=")
                 kv[key.strip()] = value.strip()
-    values = {key: _SPEC_PARSERS[key](key, kv[key])
-              for key in _FAMILIES[family].params if key in kv}
-    return _build_state(family, values, default_seed, config)
+    _check_params(family, kv)
+    values = {key: _SPEC_PARSERS[key](key, value) for key, value in kv.items()}
+    return _build_state(family, values, default_seed)
 
 
-def _config_state(cfg: ExperimentConfig, seed: int, sweep_value: Optional[float],
-                  numerics: NumericsConfig):
+def _config_state(cfg: ExperimentConfig, seed: int, sweep_value: Optional[float]):
     if cfg.state_family == "mixed_ensemble":
-        pairs = tuple((w, parse_state_spec(s, seed, numerics))
-                      for w, s in cfg.members)
+        pairs = tuple((w, parse_state_spec(s, seed)) for w, s in cfg.members)
+        for k, (_, member) in enumerate(pairs, start=1):
+            if member.n != cfg.n:
+                raise ConfigError(f"state.member{k}.spec has n={member.n} "
+                                  f"but run.n = {cfg.n}")
         try:
-            return MixedEnsemble(pairs, numerics)
+            return MixedEnsemble(pairs)
         except ValueError as exc:
             raise ConfigError(f"bad mixed ensemble: {exc}") from None
     values = {key: sweep_value if isinstance(value, list) else value
               for key, value in cfg.family_params.items()}
-    return _build_state(cfg.state_family, {**values, "n": cfg.n}, seed, numerics)
+    return _build_state(cfg.state_family, {**values, "n": cfg.n}, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -480,55 +476,44 @@ def write_summary(path: str, config_echo: Mapping[str, str],
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _dispatch_run(cfg: ExperimentConfig, state, seed: int, plan,
-                  numerics: NumericsConfig) -> RunResult:
+def _dispatch_run(cfg: ExperimentConfig, state, seed: int, plan) -> RunResult:
     # skw and oskw build their own start state; skw1 alone takes mixtures
     if isinstance(state, MixedEnsemble) and cfg.variant != "skw1":
         raise ConfigError(f"{cfg.variant} needs a pure state family")
     if cfg.variant == "skw":
-        return run_skw(cfg.n, plan, metric=cfg.metric, config=numerics)
+        return run_skw(cfg.n, plan, metric=cfg.metric)
     if cfg.variant == "skw1":
         return run_skw1(state, plan, seed=seed,
                         measure_entanglement=cfg.measure_entanglement,
-                        restarts=cfg.restarts, metric=cfg.metric,
-                        config=numerics)
+                        restarts=cfg.restarts, metric=cfg.metric)
     if cfg.variant == "skw2":
-        return run_skw2(state, plan, cfg.restarts, seed, metric=cfg.metric,
-                        config=numerics)
+        return run_skw2(state, plan, cfg.restarts, seed, metric=cfg.metric)
     if cfg.variant == "skw3":
-        return run_skw3(state, plan, metric=cfg.metric, config=numerics)
+        return run_skw3(state, plan, metric=cfg.metric)
     if cfg.variant == "oskw":
-        return run_oskw(cfg.n, plan, metric=cfg.metric, config=numerics)
+        return run_oskw(cfg.n, plan, metric=cfg.metric)
     if cfg.variant == "oskw1":
         return run_oskw1(state, plan, seed=seed,
                          measure_entanglement=cfg.measure_entanglement,
                          restarts=cfg.restarts, metric=cfg.metric,
-                         denominator=cfg.denominator, config=numerics)
+                         denominator=cfg.denominator)
     raise ConfigError(f"unknown variant {cfg.variant!r}")
 
 
 def execute_config(cfg: ExperimentConfig) -> List[Dict[str, object]]:
     """All rows for one config, in deterministic config order."""
-    try:
-        numerics = DEFAULT.replace(**cfg.numerics_overrides)
-    except TypeError as exc:
-        raise ConfigError(f"bad numerics override: {exc}") from None
     plan = IterationPlan.explicit(cfg.tau) if cfg.tau_rule == "explicit" else None
-
-    sweep_values: List[Optional[float]] = [None]
-    sweep_lists = [v for v in cfg.family_params.values() if isinstance(v, list)]
-    if len(sweep_lists) > 1:
-        raise ConfigError("at most one family parameter may be a sweep list")
-    if sweep_lists:
-        sweep_values = list(sweep_lists[0])
+    # _check_params leaves at most one list: no family takes two floats
+    sweep_values = next((v for v in cfg.family_params.values()
+                         if isinstance(v, list)), [None])
 
     rows = []
     for value in sweep_values:
         for seed in cfg.seeds:
             state = None
             if cfg.variant not in ("skw", "oskw"):
-                state = _config_state(cfg, seed, value, numerics)
-            result = _dispatch_run(cfg, state, seed, plan, numerics)
+                state = _config_state(cfg, seed, value)
+            result = _dispatch_run(cfg, state, seed, plan)
             rows.append(result_row(cfg.experiment_id, result, seed))
     return rows
 
@@ -552,6 +537,7 @@ def _cmd_sweep(args) -> int:
         raise ConfigError(f"--n must be >= 2, got {n}")
     if args.samples < 2:
         raise ConfigError(f"--samples must be >= 2, got {args.samples}")
+    _check_restarts(args.restarts)
     N = 1 << n
     rows: List[Dict[str, object]] = []
 
@@ -598,7 +584,13 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
+def _check_restarts(restarts: Optional[int]) -> None:
+    if restarts is not None and restarts < 1:
+        raise ConfigError(f"--restarts must be >= 1, got {restarts}")
+
+
 def _cmd_measures(args) -> int:
+    _check_restarts(args.restarts)
     state = parse_state_spec(args.spec, default_seed=args.seed)
     report = groverian_entanglement(state, restarts=args.restarts, seed=args.seed)
     print(f"state: {args.spec}")
@@ -621,13 +613,13 @@ def _cmd_verify(args) -> int:
     if max_n < 2:
         raise ConfigError(f"--max-n must be >= 2, got {max_n}")
 
-    for n in range(2, min(max_n, DEFAULT.identity_check_guard_n) + 1):
+    for n in range(2, min(max_n, IDENTITY_CHECK_GUARD_N) + 1):
         res = verify_theorem_identities(n, trials=args.trials, seed=args.seed)
         checks.append((f"measure identities n={n}", bool(res["all_passed"]),
                        f"worst layer dev {res['worst_layer_dev']:.3g}, "
                        f"worst enumeration dev {res['worst_pauli_dev']:.3g}"))
 
-    for n in range(2, min(max_n, DEFAULT.dense_guard_n) + 1):
+    for n in range(2, min(max_n, DENSE_GUARD_N) + 1):
         for variant, target in ((SKW, 1), (OSKW, 3)):
             spec = WalkSpec(n=n, node_count=1 << n, target=target, variant=variant)
             plan = IterationPlan.explicit(min(20, 4 * n))

@@ -1,14 +1,6 @@
-"""Central numerics configuration: every tolerance and size guard in one record.
-
-All comparisons and guards across the package read from a NumericsConfig so
-that a single override (e.g. a tighter norm tolerance, or a larger dense
-guard on a big machine) propagates consistently.
-"""
+"""Every tolerance and size guard of the package, as module constants."""
 
 from __future__ import annotations
-
-import dataclasses
-from dataclasses import dataclass
 
 
 class InvariantViolation(RuntimeError):
@@ -24,27 +16,18 @@ class InvariantViolation(RuntimeError):
         super().__init__(msg)
 
 
-@dataclass(frozen=True)
-class NumericsConfig:
-    # tolerances
-    norm_tol: float = 1e-10          # state normalization at construction
-    conservation_tol: float = 1e-10  # walker norm drift allowed per evolution step
-    unitary_tol: float = 1e-12       # 2x2 factors and dense operators
-    strict_tol: float = 1e-12        # exact-identity comparisons
-    overlap_tol: float = 1e-12       # optimizer convergence threshold per sweep
-    # optimizer defaults
-    hopm_restarts: int = 32
-    hopm_sweep_cap: int = 500
-    # size guards; configuration values rather than constants so larger
-    # machines can push oracle coverage up one size
-    pauli_guard_n: int = 12          # 3^n layer enumeration
-    dense_guard_n: int = 5           # dense operator dimension n * 2^n
-    grid_guard_n: int = 3            # exhaustive Bloch-angle grid
-    grid_guard_resolution: int = 64  # subdivisions per angle
-    identity_check_guard_n: int = 6  # verify_theorem_identities trial size
-
-    def replace(self, **kwargs) -> "NumericsConfig":
-        return dataclasses.replace(self, **kwargs)
-
-
-DEFAULT = NumericsConfig()
+# tolerances
+NORM_TOL = 1e-10          # state normalization at construction
+CONSERVATION_TOL = 1e-10  # walker norm drift allowed per evolution step
+UNITARY_TOL = 1e-12       # 2x2 factors and dense operators
+STRICT_TOL = 1e-12        # exact-identity comparisons
+OVERLAP_TOL = 1e-12       # optimizer convergence threshold per sweep
+# optimizer
+HOPM_RESTARTS = 32
+HOPM_SWEEP_CAP = 500
+# size guards
+PAULI_GUARD_N = 12          # 3^n layer enumeration
+DENSE_GUARD_N = 5           # dense operator dimension n * 2^n
+GRID_GUARD_N = 3            # exhaustive Bloch-angle grid
+GRID_GUARD_RESOLUTION = 64  # subdivisions per angle
+IDENTITY_CHECK_GUARD_N = 6  # verify_theorem_identities trial size

@@ -12,12 +12,12 @@ overlap is a lower bound and E_g an upper bound.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT, NumericsConfig
+from .config import HOPM_RESTARTS, HOPM_SWEEP_CAP, OVERLAP_TOL, UNITARY_TOL
 from .states import (MixedEnsemble, NodeState, StateLike, apply_local_layer,
                      make_even_uniform_node_state, make_uniform_node_state, overlap)
 
@@ -34,7 +34,6 @@ class LocalLayer:
     """A product U_1 x ... x U_n of single-qubit unitaries; factor j acts on qubit j."""
 
     factors: tuple
-    config: NumericsConfig = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         factors = tuple(np.asarray(U, dtype=np.complex128) for U in self.factors)
@@ -44,7 +43,7 @@ class LocalLayer:
             if U.shape != (2, 2):
                 raise ValueError(f"factor {k} is not 2x2: shape {U.shape}")
             err = float(np.max(np.abs(U.conj().T @ U - np.eye(2))))
-            if err > self.config.unitary_tol:
+            if err > UNITARY_TOL:
                 raise ValueError(f"factor {k} not unitary: deviation {err}")
         object.__setattr__(self, "factors", factors)
 
@@ -93,7 +92,7 @@ def coherence_fraction(state: StateLike) -> float:
 
 def even_coherence_fraction(state: NodeState) -> float:
     """Overlap with the equal superposition over even-parity vertices."""
-    eta_e = make_even_uniform_node_state(state.n, state.config)
+    eta_e = make_even_uniform_node_state(state.n)
     return float(abs(overlap(eta_e, state)) ** 2)
 
 
@@ -141,15 +140,15 @@ def _random_product(n: int, rng: np.random.Generator) -> List[np.ndarray]:
     return us
 
 
-def _hopm(state: NodeState, restarts: int, seed: int,
-          config: NumericsConfig) -> Tuple[float, List[np.ndarray], bool]:
+def _hopm(state: NodeState, restarts: int,
+          seed: int) -> Tuple[float, List[np.ndarray], bool]:
     """Best squared product overlap Lambda^2, its factors, and convergence.
 
     Each restart seeds its own generator from (seed, restart index), so the
     result is independent of any execution schedule. A sweep fixes every
     factor but one; the optimal free factor is the normalized partial
     contraction, and the overlap is non-decreasing, so the sweep loop stops
-    once the gain drops below config.overlap_tol.
+    once the gain drops below OVERLAP_TOL.
     """
     n = state.n
     tensor = state.amplitudes.reshape((2,) * n)
@@ -161,7 +160,7 @@ def _hopm(state: NodeState, restarts: int, seed: int,
         us = _random_product(n, rng)
         lam = 0.0
         converged = False
-        for _ in range(config.hopm_sweep_cap):
+        for _ in range(HOPM_SWEEP_CAP):
             prev = lam
             for j in range(n):
                 v = _contract_except(tensor, us, n, j)
@@ -169,7 +168,7 @@ def _hopm(state: NodeState, restarts: int, seed: int,
                 if nv > 0.0:
                     us[j] = v / nv
                 lam = nv
-            if lam - prev < config.overlap_tol:
+            if lam - prev < OVERLAP_TOL:
                 converged = True
                 break
         all_converged = all_converged and converged
@@ -179,14 +178,14 @@ def _hopm(state: NodeState, restarts: int, seed: int,
     return best_lam2, best_us, all_converged
 
 
-def _entanglement(state: NodeState, restarts: Optional[int], seed: int,
-                  config: NumericsConfig) -> Tuple[List[np.ndarray], ResourceReport]:
+def _entanglement(state: NodeState, restarts: Optional[int],
+                  seed: int) -> Tuple[List[np.ndarray], ResourceReport]:
     """One maximizer run: the optimal product factors and the full report."""
     if restarts is None:
-        restarts = config.hopm_restarts
+        restarts = HOPM_RESTARTS
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    lam2, us, converged = _hopm(state, restarts, seed, config)
+    lam2, us, converged = _hopm(state, restarts, seed)
     return us, ResourceReport(
         f_c=coherence_fraction(state),
         C_f=fidelity_coherence(state),
@@ -198,19 +197,17 @@ def _entanglement(state: NodeState, restarts: Optional[int], seed: int,
 
 
 def groverian_entanglement(state: NodeState, restarts: Optional[int] = None,
-                           seed: int = 0,
-                           config: NumericsConfig = DEFAULT) -> ResourceReport:
+                           seed: int = 0) -> ResourceReport:
     """Full resource report with E_g = sqrt(1 - Lambda^2) from the maximizer.
 
     The returned E_g errs high only through an under-maximized overlap;
     f_c and C_f are exact.
     """
-    return _entanglement(state, restarts, seed, config)[1]
+    return _entanglement(state, restarts, seed)[1]
 
 
 def optimize_local_layer_detailed(
         state: NodeState, restarts: Optional[int] = None, seed: int = 0,
-        config: NumericsConfig = DEFAULT,
 ) -> Tuple[LocalLayer, float, ResourceReport]:
     """Best local layer maximizing the transformed state's coherence fraction,
     the value it achieves, and the resources of the input state.
@@ -219,14 +216,14 @@ def optimize_local_layer_detailed(
     optimal factor |u_j> to |+>; the achieved value is recomputed end to end
     as |<uniform| (x)U_j |psi>|^2 rather than echoed from the optimizer.
     """
-    us, report = _entanglement(state, restarts, seed, config)
+    us, report = _entanglement(state, restarts, seed)
     plus = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
     minus = np.array([1, -1], dtype=np.complex128) / math.sqrt(2)
     factors = []
     for u in us:
         uperp = np.array([-np.conj(u[1]), np.conj(u[0])], dtype=np.complex128)
         factors.append(np.outer(plus, np.conj(u)) + np.outer(minus, np.conj(uperp)))
-    layer = LocalLayer(tuple(factors), config)
-    eta = make_uniform_node_state(state.n, config)
-    achieved = float(abs(overlap(eta, apply_local_layer(state, layer, config))) ** 2)
+    layer = LocalLayer(tuple(factors))
+    eta = make_uniform_node_state(state.n)
+    achieved = float(abs(overlap(eta, apply_local_layer(state, layer))) ** 2)
     return layer, achieved, report

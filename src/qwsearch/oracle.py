@@ -15,7 +15,9 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .config import DEFAULT, InvariantViolation, NumericsConfig
+from .config import (DENSE_GUARD_N, GRID_GUARD_N, GRID_GUARD_RESOLUTION,
+                     IDENTITY_CHECK_GUARD_N, PAULI_GUARD_N, UNITARY_TOL,
+                     InvariantViolation)
 from .measures import (LocalLayer, best_pauli_basis, optimize_local_layer_detailed,
                        pauli_layer)
 from .states import NodeState, WalkerState, make_random_node_state
@@ -36,17 +38,20 @@ def _dense_shift(n: int, N: int) -> np.ndarray:
     return S
 
 
-def build_dense_evolution(spec: WalkSpec,
-                          config: NumericsConfig = DEFAULT) -> DenseOperator:
+def build_dense_evolution(spec: WalkSpec) -> DenseOperator:
     """Explicit matrix of one evolution application (V, or the two-shift V_opt).
 
     Flat basis index is d * node_count + x, matching the walker layout.
-    Guarded by config.dense_guard_n.
+    Guarded by DENSE_GUARD_N.
     """
-    if spec.n > config.dense_guard_n:
+    if spec.n > DENSE_GUARD_N:
         raise ValueError(
-            f"dense build at n={spec.n} exceeds guard n <= {config.dense_guard_n}"
+            f"dense build at n={spec.n} exceeds guard n <= {DENSE_GUARD_N}"
         )
+    return _dense_evolution(spec)
+
+
+def _dense_evolution(spec: WalkSpec) -> DenseOperator:
     n, N = spec.n, spec.node_count
     # the coins are built here on purpose; this module must not borrow kernels
     C0 = (2.0 / n) * np.ones((n, n), dtype=np.complex128) - np.eye(n)
@@ -60,27 +65,27 @@ def build_dense_evolution(spec: WalkSpec,
         V = S @ np.kron(C0, np.eye(N)) @ V
     dim = n * N
     err = float(np.max(np.abs(V.conj().T @ V - np.eye(dim))))
-    if err > config.unitary_tol:
+    if err > UNITARY_TOL:
         raise InvariantViolation("dense evolution unitarity", f"deviation {err}")
     return DenseOperator(dim=dim, entries=V)
 
 
-def evolve_dense(state: WalkerState, spec: WalkSpec, plan: IterationPlan,
-                 config: NumericsConfig = DEFAULT) -> WalkerState:
+def evolve_dense(state: WalkerState, spec: WalkSpec,
+                 plan: IterationPlan) -> WalkerState:
     """Apply the dense evolution matrix under the same step-budget convention.
 
     Plain variant: tau applications; two-shift variant: floor(tau/2).
     """
-    op = build_dense_evolution(spec, config)
+    op = build_dense_evolution(spec)
     v = state.amplitudes.copy()
     steps = plan.tau if spec.variant == SKW else plan.tau // 2
     for _ in range(steps):
         v = op.entries @ v
-    return WalkerState(spec.n, spec.node_count, v, config)
+    return WalkerState(spec.n, spec.node_count, v)
 
 
-def xor_covariance_deviation(n: int, shift: int, target: int, variant: str = SKW,
-                             config: NumericsConfig = DEFAULT) -> float:
+def xor_covariance_deviation(n: int, shift: int, target: int,
+                             variant: str = SKW) -> float:
     """How far relabeling vertices by XOR fails to commute with the walk.
 
     Conjugating the dense evolution for target t by the vertex permutation
@@ -92,11 +97,10 @@ def xor_covariance_deviation(n: int, shift: int, target: int, variant: str = SKW
     N = 1 << n
     if not 0 <= shift < N:
         raise ValueError(f"shift {shift} out of range for {N} vertices")
-    cfg = config.replace(dense_guard_n=max(config.dense_guard_n, n))
     spec_a = WalkSpec(n=n, node_count=N, target=target, variant=variant)
     spec_b = WalkSpec(n=n, node_count=N, target=target ^ shift, variant=variant)
-    Va = build_dense_evolution(spec_a, cfg).entries
-    Vb = build_dense_evolution(spec_b, cfg).entries
+    Va = _dense_evolution(spec_a).entries
+    Vb = _dense_evolution(spec_b).entries
     x = np.arange(N)
     perm = np.concatenate([d * N + (x ^ shift) for d in range(n)])
     return float(np.max(np.abs(Va[perm][:, perm] - Vb)))
@@ -113,19 +117,18 @@ _PAULI_BRA0 = {
 }
 
 
-def enumerate_pauli_layers(state: NodeState,
-                           config: NumericsConfig = DEFAULT) -> Tuple[LocalLayer, float]:
+def enumerate_pauli_layers(state: NodeState) -> Tuple[LocalLayer, float]:
     """Exhaustive max of |<0...0| (x)V_j |psi>|^2 over all 3^n Pauli layers.
 
     Evaluated as a three-way contraction tree over qubits, O(3^n) overall,
-    guarded by config.pauli_guard_n. The first maximal layer in X, Y, Z
+    guarded by PAULI_GUARD_N. The first maximal layer in X, Y, Z
     order is returned; the value always equals max_i |a_i|^2 because X and
     Y flip a qubit while Z does not, so every bit pattern is reachable.
     """
     n = state.n
-    if n > config.pauli_guard_n:
+    if n > PAULI_GUARD_N:
         raise ValueError(
-            f"3^{n} layer enumeration exceeds guard n <= {config.pauli_guard_n}"
+            f"3^{n} layer enumeration exceeds guard n <= {PAULI_GUARD_N}"
         )
     best_val = -1.0
     best_letters: Tuple[str, ...] = ()
@@ -225,20 +228,19 @@ def _grid_max_3q(tensor: np.ndarray, cands: np.ndarray, init: float) -> float:
     return best
 
 
-def grid_product_overlap(state: NodeState, angular_resolution: int,
-                         config: NumericsConfig = DEFAULT) -> float:
+def grid_product_overlap(state: NodeState, angular_resolution: int) -> float:
     """Max |<product|psi>|^2 over the per-qubit Bloch-angle grid.
 
     A certified lower bound on the true product overlap, converging as the
-    grid is refined. Guarded to n <= config.grid_guard_n and
-    angular_resolution <= config.grid_guard_resolution.
+    grid is refined. Guarded to n <= GRID_GUARD_N and
+    angular_resolution <= GRID_GUARD_RESOLUTION.
     """
     n = state.n
-    if n > config.grid_guard_n:
-        raise ValueError(f"grid search at n={n} exceeds guard n <= {config.grid_guard_n}")
-    if not 1 <= angular_resolution <= config.grid_guard_resolution:
+    if n > GRID_GUARD_N:
+        raise ValueError(f"grid search at n={n} exceeds guard n <= {GRID_GUARD_N}")
+    if not 1 <= angular_resolution <= GRID_GUARD_RESOLUTION:
         raise ValueError(
-            f"resolution {angular_resolution} outside 1..{config.grid_guard_resolution}"
+            f"resolution {angular_resolution} outside 1..{GRID_GUARD_RESOLUTION}"
         )
     tensor = state.amplitudes.reshape((2,) * n)
     cands = _bloch_candidates(angular_resolution)
@@ -259,27 +261,26 @@ def grid_product_overlap(state: NodeState, angular_resolution: int,
 # ---------------------------------------------------------------------------
 # standalone identity checks
 
-def verify_theorem_identities(n: int, trials: int, seed: int = 0,
-                              config: NumericsConfig = DEFAULT) -> Dict[str, object]:
+def verify_theorem_identities(n: int, trials: int,
+                              seed: int = 0) -> Dict[str, object]:
     """Check the two exact inner reductions on seeded random states.
 
     (a) the best-local-layer overlap equals 1 - E_g^2 within 1e-8;
     (b) the exhaustive Pauli-layer value equals max_i |a_i|^2 within 1e-12.
     Returns pass counts and worst deviations.
     """
-    if n > config.identity_check_guard_n:
+    if n > IDENTITY_CHECK_GUARD_N:
         raise ValueError(
-            f"identity check at n={n} exceeds guard n <= {config.identity_check_guard_n}"
+            f"identity check at n={n} exceeds guard n <= {IDENTITY_CHECK_GUARD_N}"
         )
     layer_tol, pauli_tol = 1e-8, 1e-12
     layer_passes = pauli_passes = 0
     worst_layer = worst_pauli = 0.0
     for k in range(trials):
-        psi = make_random_node_state(n, seed + k, config)
-        _, achieved, report = optimize_local_layer_detailed(psi, seed=seed + k,
-                                                            config=config)
+        psi = make_random_node_state(n, seed + k)
+        _, achieved, report = optimize_local_layer_detailed(psi, seed=seed + k)
         dev_a = abs(achieved - (1.0 - report.E_g ** 2))
-        _, pauli_val = enumerate_pauli_layers(psi, config)
+        _, pauli_val = enumerate_pauli_layers(psi)
         _, basis_val = best_pauli_basis(psi)
         dev_b = abs(pauli_val - basis_val)
         worst_layer = max(worst_layer, dev_a)

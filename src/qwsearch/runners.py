@@ -10,13 +10,14 @@ the closed-form prediction for that variant:
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .config import DEFAULT, InvariantViolation, NumericsConfig
+from .config import InvariantViolation
 from .measures import (ResourceReport, best_pauli_basis, coherence_fraction,
                        even_coherence_fraction, fidelity_coherence,
                        groverian_entanglement, hadamard_layer,
@@ -92,23 +93,22 @@ def predicted_probability(variant: str, resource: ResourceReport) -> float:
 # shared machinery
 
 def _per_target_probs(node: NodeState, plan: IterationPlan, variant: str,
-                      targets: Sequence[int], metric: str,
-                      config: NumericsConfig) -> np.ndarray:
+                      targets: Sequence[int], metric: str) -> np.ndarray:
     """Success probability for each marked vertex, one forward walk each."""
-    walker = compose_walker(uniform_coin(node.n), node, config)
+    walker = compose_walker(uniform_coin(node.n), node)
     probs = np.empty(len(targets))
     for k, tg in enumerate(targets):
         spec = WalkSpec(n=node.n, node_count=node.dim, target=int(tg),
                         variant=variant)
-        probs[k] = success_probability(evolve(walker, spec, plan, config),
-                                       int(tg), metric)
+        probs[k] = success_probability(evolve(walker, spec, plan), int(tg),
+                                       metric)
     return probs
 
 
 def _base_report(state: NodeState, entanglement: bool, restarts: Optional[int],
-                 seed: int, config: NumericsConfig) -> ResourceReport:
+                 seed: int) -> ResourceReport:
     if entanglement:
-        return groverian_entanglement(state, restarts, seed, config)
+        return groverian_entanglement(state, restarts, seed)
     return ResourceReport(f_c=coherence_fraction(state),
                           C_f=fidelity_coherence(state))
 
@@ -134,8 +134,7 @@ def _finish(variant, n, plan, targets, probs, resource, seed, t0,
 def run_skw1(state: StateLike, plan: Optional[IterationPlan] = None, *,
              seed: int = 0, measure_entanglement: bool = False,
              restarts: Optional[int] = None,
-             metric: str = "vertex", variant_label: str = "skw1",
-             config: NumericsConfig = DEFAULT) -> RunResult:
+             metric: str = "vertex") -> RunResult:
     """Walk with the state as supplied; prediction f_c / 2.
 
     A mixed ensemble runs every member and combines per-target
@@ -149,42 +148,39 @@ def run_skw1(state: StateLike, plan: Optional[IterationPlan] = None, *,
         probs = np.zeros(1 << n)
         for p_mu, member in state.members:
             probs += p_mu * _per_target_probs(member, plan, SKW, targets,
-                                              metric, config)
+                                              metric)
         resource = ResourceReport(f_c=coherence_fraction(state), C_f=None)
     else:
-        probs = _per_target_probs(state, plan, SKW, targets, metric, config)
-        resource = _base_report(state, measure_entanglement, restarts, seed, config)
-    return _finish(variant_label, n, plan, targets, probs, resource, seed, t0,
+        probs = _per_target_probs(state, plan, SKW, targets, metric)
+        resource = _base_report(state, measure_entanglement, restarts, seed)
+    return _finish("skw1", n, plan, targets, probs, resource, seed, t0,
                    metric=metric)
 
 
 def run_skw(n: int, plan: Optional[IterationPlan] = None, *,
-            metric: str = "vertex", config: NumericsConfig = DEFAULT) -> RunResult:
+            metric: str = "vertex") -> RunResult:
     """The original algorithm: uniform start state."""
-    return run_skw1(make_uniform_node_state(n, config), plan, metric=metric,
-                    variant_label="skw", config=config)
+    return dataclasses.replace(
+        run_skw1(make_uniform_node_state(n), plan, metric=metric), variant="skw")
 
 
 def run_skw2(state: NodeState, plan: Optional[IterationPlan] = None,
              restarts: Optional[int] = None, seed: int = 0, *,
-             metric: str = "vertex",
-             config: NumericsConfig = DEFAULT) -> RunResult:
+             metric: str = "vertex") -> RunResult:
     """Best local-unitary layer first, then the walk; prediction (1 - E_g^2)/2."""
     t0 = time.perf_counter()
     n = state.n
     plan = plan or IterationPlan.skw_optimal(n)
-    layer, achieved, resource = optimize_local_layer_detailed(state, restarts,
-                                                              seed, config)
-    transformed = apply_local_layer(state, layer, config)
+    layer, _, resource = optimize_local_layer_detailed(state, restarts, seed)
+    transformed = apply_local_layer(state, layer)
     targets = range(1 << n)
-    probs = _per_target_probs(transformed, plan, SKW, targets, metric, config)
+    probs = _per_target_probs(transformed, plan, SKW, targets, metric)
     return _finish("skw2", n, plan, targets, probs, resource, seed, t0,
                    metric=metric)
 
 
 def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
-             metric: str = "vertex",
-             config: NumericsConfig = DEFAULT) -> RunResult:
+             metric: str = "vertex") -> RunResult:
     """Best Pauli layer, a Hadamard on every qubit, then the walk.
 
     Prediction (1 - C_f^2)/2 = max_i |a_i|^2 / 2. The best Pauli layer is
@@ -198,10 +194,10 @@ def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
     i, _ = best_pauli_basis(state)
     # X moves <0| onto <1|, Z keeps <0|: spell the argmax vertex bitwise
     layer = pauli_layer("".join("X" if (i >> j) & 1 else "Z" for j in range(n)))
-    transformed = apply_local_layer(apply_local_layer(state, layer, config),
-                                    hadamard_layer(n), config)
+    transformed = apply_local_layer(apply_local_layer(state, layer),
+                                    hadamard_layer(n))
     targets = range(1 << n)
-    probs = _per_target_probs(transformed, plan, SKW, targets, metric, config)
+    probs = _per_target_probs(transformed, plan, SKW, targets, metric)
     resource = ResourceReport(f_c=coherence_fraction(state),
                               C_f=fidelity_coherence(state))
     return _finish("skw3", n, plan, targets, probs, resource, 0, t0,
@@ -210,10 +206,8 @@ def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
 
 def run_oskw1(state: NodeState, plan: Optional[IterationPlan] = None, *,
               seed: int = 0, measure_entanglement: bool = False,
-              restarts: Optional[int] = None,
-              metric: str = "vertex", denominator: str = "even-count",
-              variant_label: str = "oskw1",
-              config: NumericsConfig = DEFAULT) -> RunResult:
+              restarts: Optional[int] = None, metric: str = "vertex",
+              denominator: str = "even-count") -> RunResult:
     """Two-shift optimized walk on the even-parity subspace.
 
     The state is projected onto even-parity vertices (leaked weight
@@ -229,30 +223,23 @@ def run_oskw1(state: NodeState, plan: Optional[IterationPlan] = None, *,
         raise ValueError(f"optimized walk needs at least 3 directions, got {m}")
     if denominator not in _DENOMINATORS:
         raise ValueError(f"unknown denominator {denominator!r}")
-    projected, leaked = project_even_parity(state, config)
+    projected, leaked = project_even_parity(state)
     plan = plan or IterationPlan.oskw_optimal(1 << m)
     parities = np.bitwise_count(np.arange(1 << m)) & 1
     targets = np.nonzero(parities == 0)[0]
-    probs = _per_target_probs(projected, plan, OSKW, targets, metric, config)
-    if measure_entanglement:
-        full = groverian_entanglement(state, restarts, seed, config)
-        resource = ResourceReport(f_c=even_coherence_fraction(projected),
-                                  C_f=full.C_f, E_g=full.E_g,
-                                  E_g_overlap=full.E_g_overlap,
-                                  restarts_used=full.restarts_used,
-                                  converged=full.converged)
-    else:
-        resource = ResourceReport(f_c=even_coherence_fraction(projected),
-                                  C_f=fidelity_coherence(state))
-    return _finish(variant_label, m, plan, targets, probs, resource, seed, t0,
+    probs = _per_target_probs(projected, plan, OSKW, targets, metric)
+    # the input state's resources, but f_c on the even subspace walked
+    resource = dataclasses.replace(
+        _base_report(state, measure_entanglement, restarts, seed),
+        f_c=even_coherence_fraction(projected))
+    return _finish("oskw1", m, plan, targets, probs, resource, seed, t0,
                    leaked=leaked, metric=metric, denominator=denominator)
 
 
 def run_oskw(n: int, plan: Optional[IterationPlan] = None, *,
-             metric: str = "vertex",
-             config: NumericsConfig = DEFAULT) -> RunResult:
+             metric: str = "vertex") -> RunResult:
     """The optimized algorithm proper: even equal superposition one
     dimension above the n-bit search problem."""
-    state = make_even_uniform_node_state(n + 1, config)
-    return run_oskw1(state, plan, metric=metric,
-                     variant_label="oskw", config=config)
+    state = make_even_uniform_node_state(n + 1)
+    return dataclasses.replace(run_oskw1(state, plan, metric=metric),
+                               variant="oskw")

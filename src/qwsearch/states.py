@@ -8,12 +8,12 @@ walker index is d * node_count + x.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
 import numpy as np
 
-from .config import DEFAULT, InvariantViolation, NumericsConfig
+from .config import NORM_TOL, STRICT_TOL, UNITARY_TOL, InvariantViolation
 
 if TYPE_CHECKING:
     from .measures import LocalLayer
@@ -39,7 +39,6 @@ class NodeState:
 
     n: int
     amplitudes: np.ndarray
-    config: NumericsConfig = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -50,7 +49,7 @@ class NodeState:
                 f"expected {1 << self.n} amplitudes for n={self.n}, got {amps.shape[0]}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > self.config.norm_tol:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"state not normalized: sum |a_x|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -64,7 +63,6 @@ class MixedEnsemble:
     """A classical mixture sum_mu p_mu |psi_mu><psi_mu| of node states."""
 
     members: tuple  # of (weight, NodeState)
-    config: NumericsConfig = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         members = tuple((float(p), s) for p, s in self.members)
@@ -76,7 +74,7 @@ class MixedEnsemble:
         if any(p < 0 for p, _ in members):
             raise ValueError("ensemble weights must be non-negative")
         total = sum(p for p, _ in members)
-        if abs(total - 1.0) > self.config.strict_tol:
+        if abs(total - 1.0) > STRICT_TOL:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
         object.__setattr__(self, "members", members)
 
@@ -97,7 +95,6 @@ class WalkerState:
     n: int
     node_count: int
     amplitudes: np.ndarray
-    config: NumericsConfig = field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         amps = _frozen(np.asarray(self.amplitudes).ravel())
@@ -106,7 +103,7 @@ class WalkerState:
                 f"expected {self.n * self.node_count} amplitudes, got {amps.shape[0]}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > self.config.norm_tol:
+        if abs(norm_sq - 1.0) > NORM_TOL:
             raise ValueError(f"walker not normalized: total = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -121,23 +118,23 @@ StateLike = Union[NodeState, MixedEnsemble]
 # ---------------------------------------------------------------------------
 # constructors
 
-def make_uniform_node_state(n: int, config: NumericsConfig = DEFAULT) -> NodeState:
+def make_uniform_node_state(n: int) -> NodeState:
     """The maximal coherent state: every amplitude 1/sqrt(2**n)."""
     if n < 2:
         raise ValueError(f"hypercube walk needs n >= 2, got n={n}")
     N = 1 << n
-    return NodeState(n, np.full(N, 1.0 / math.sqrt(N), dtype=np.complex128), config)
+    return NodeState(n, np.full(N, 1.0 / math.sqrt(N), dtype=np.complex128))
 
 
-def make_basis_node_state(n: int, i: int, config: NumericsConfig = DEFAULT) -> NodeState:
+def make_basis_node_state(n: int, i: int) -> NodeState:
     if not 0 <= i < (1 << n):
         raise ValueError(f"vertex index {i} out of range for n={n}")
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[i] = 1.0
-    return NodeState(n, amps, config)
+    return NodeState(n, amps)
 
 
-def make_random_node_state(n: int, seed: int, config: NumericsConfig = DEFAULT) -> NodeState:
+def make_random_node_state(n: int, seed: int) -> NodeState:
     """Haar-random pure state: 2**n standard complex Gaussians, normalized.
 
     Deterministic given (n, seed).
@@ -145,54 +142,52 @@ def make_random_node_state(n: int, seed: int, config: NumericsConfig = DEFAULT) 
     rng = np.random.default_rng(seed)
     N = 1 << n
     v = rng.standard_normal(N) + 1j * rng.standard_normal(N)
-    return NodeState(n, v / np.linalg.norm(v), config)
+    return NodeState(n, v / np.linalg.norm(v))
 
 
-def make_even_uniform_node_state(n: int, config: NumericsConfig = DEFAULT) -> NodeState:
+def make_even_uniform_node_state(n: int) -> NodeState:
     """Equal superposition over the even-Hamming-weight vertices."""
     N = 1 << n
     parity = np.bitwise_count(np.arange(N)) & 1
     amps = np.where(parity == 0, 1.0, 0.0).astype(np.complex128)
-    return NodeState(n, amps / np.linalg.norm(amps), config)
+    return NodeState(n, amps / np.linalg.norm(amps))
 
 
-def make_ghz_node_state(n: int, alpha: float = math.pi / 4,
-                        config: NumericsConfig = DEFAULT) -> NodeState:
+def make_ghz_node_state(n: int, alpha: float = math.pi / 4) -> NodeState:
     """cos(alpha)|0...0> + sin(alpha)|1...1>."""
     amps = np.zeros(1 << n, dtype=np.complex128)
     amps[0] = math.cos(alpha)
     amps[-1] = math.sin(alpha)
-    return NodeState(n, amps, config)
+    return NodeState(n, amps)
 
 
-def make_w_node_state(n: int, config: NumericsConfig = DEFAULT) -> NodeState:
+def make_w_node_state(n: int) -> NodeState:
     """Equal superposition of the n single-excitation basis vertices."""
     amps = np.zeros(1 << n, dtype=np.complex128)
     for j in range(n):
         amps[1 << j] = 1.0
-    return NodeState(n, amps / math.sqrt(n), config)
+    return NodeState(n, amps / math.sqrt(n))
 
 
-def make_interpolated_node_state(n: int, t: float,
-                                 config: NumericsConfig = DEFAULT) -> NodeState:
+def make_interpolated_node_state(n: int, t: float) -> NodeState:
     """Normalized t*uniform + (1-t)*basis(0), sweeping the coherence fraction."""
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"interpolation parameter t={t} outside [0, 1]")
-    u = make_uniform_node_state(n, config).amplitudes
+    u = make_uniform_node_state(n).amplitudes
     e0 = np.zeros_like(u)
     e0[0] = 1.0
     v = t * u + (1.0 - t) * e0
-    return NodeState(n, v / np.linalg.norm(v), config)
+    return NodeState(n, v / np.linalg.norm(v))
 
 
-def make_tilted_node_state(n: int, s: float, config: NumericsConfig = DEFAULT) -> NodeState:
+def make_tilted_node_state(n: int, s: float) -> NodeState:
     """sqrt(s)|0> + sqrt((1-s)/(N-1)) on the rest; max |a_x|^2 = s for s >= 1/N."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"tilt parameter s={s} outside [0, 1]")
     N = 1 << n
     amps = np.full(N, math.sqrt((1.0 - s) / (N - 1)), dtype=np.complex128)
     amps[0] = math.sqrt(s)
-    return NodeState(n, amps, config)
+    return NodeState(n, amps)
 
 
 def uniform_coin(n: int) -> np.ndarray:
@@ -205,8 +200,7 @@ def uniform_coin(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # operations
 
-def compose_walker(coin: Sequence[complex], node: NodeState,
-                   config: NumericsConfig = DEFAULT) -> WalkerState:
+def compose_walker(coin: Sequence[complex], node: NodeState) -> WalkerState:
     """Tensor a coin state with a node state: amplitude(d, x) = coin[d] * a_x.
 
     The coin dimension must equal the node register's qubit count (the walk
@@ -218,7 +212,7 @@ def compose_walker(coin: Sequence[complex], node: NodeState,
             f"coin dimension {coin.shape[0]} does not match node n={node.n}"
         )
     amps = np.outer(coin, node.amplitudes).ravel()
-    return WalkerState(node.n, node.dim, amps, config)
+    return WalkerState(node.n, node.dim, amps)
 
 
 def overlap(a: NodeState, b: NodeState) -> complex:
@@ -228,8 +222,7 @@ def overlap(a: NodeState, b: NodeState) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
-def apply_local_layer(state: NodeState, layer: "LocalLayer",
-                      config: NumericsConfig = DEFAULT) -> NodeState:
+def apply_local_layer(state: NodeState, layer: "LocalLayer") -> NodeState:
     """Apply a product of single-qubit unitaries U_1 x ... x U_n to the state.
 
     Factor j acts on qubit j (bit j of the vertex index). Implemented as
@@ -248,6 +241,6 @@ def apply_local_layer(state: NodeState, layer: "LocalLayer",
         tensor = np.moveaxis(np.tensordot(U, tensor, axes=([1], [axis])), 0, axis)
     out = tensor.ravel()
     nrm = float(np.linalg.norm(out))
-    if abs(nrm - 1.0) > config.unitary_tol * (n + 1):
+    if abs(nrm - 1.0) > UNITARY_TOL * (n + 1):
         raise InvariantViolation("layer norm preservation", f"norm {nrm!r}")
-    return NodeState(state.n, out, config)
+    return NodeState(state.n, out)

@@ -19,7 +19,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import DEFAULT, InvariantViolation, NumericsConfig
+from .config import CONSERVATION_TOL, STRICT_TOL, InvariantViolation
 from .states import NodeState, WalkerState
 
 SKW = "skw"
@@ -123,14 +123,14 @@ def _shift(grid: np.ndarray, index: np.ndarray) -> np.ndarray:
 def apply_shift(state: WalkerState) -> WalkerState:
     """Move amplitude (d, x) to (d, x XOR (1 << d)); an exact permutation."""
     out = _shift(state.grid(), _shift_index(state.n, state.node_count))
-    return WalkerState(state.n, state.node_count, out.ravel(), state.config)
+    return WalkerState(state.n, state.node_count, out.ravel())
 
 
 def apply_perturbed_coin(state: WalkerState, spec: WalkSpec) -> WalkerState:
     """Grover coin on each vertex's coin vector, -I at the target."""
     _check_dims(state, spec)
     out = _marked_coin(state.grid(), spec.target)
-    return WalkerState(state.n, state.node_count, out.ravel(), state.config)
+    return WalkerState(state.n, state.node_count, out.ravel())
 
 
 def _check_dims(state: WalkerState, spec: WalkSpec) -> None:
@@ -144,8 +144,7 @@ def _check_dims(state: WalkerState, spec: WalkSpec) -> None:
 # ---------------------------------------------------------------------------
 # evolution
 
-def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan,
-           config: NumericsConfig = DEFAULT) -> WalkerState:
+def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan) -> WalkerState:
     """Run the walk for the plan's step budget.
 
     Plain variant: tau applications of V = S C. Optimized variant: each
@@ -153,7 +152,7 @@ def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan,
     shift rounds, so floor(tau/2) applications are performed; an odd
     leftover round cannot form a complete query block and is dropped.
 
-    Norm is checked against config.conservation_tol after every step.
+    Norm is checked against CONSERVATION_TOL after every step.
     """
     _check_dims(state, spec)
     index = _shift_index(spec.n, spec.node_count)
@@ -165,15 +164,14 @@ def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan,
             grid = _shift(_grover(grid), index)
         # squares of the float view, summed without a BLAS call (unlike vdot)
         total = float(np.square(grid.view(np.float64)).sum())
-        if abs(total - 1.0) > config.conservation_tol:
+        if abs(total - 1.0) > CONSERVATION_TOL:
             raise InvariantViolation(
                 "walker norm conservation", f"total probability {total!r}"
             )
-    return WalkerState(spec.n, spec.node_count, grid.ravel(), config)
+    return WalkerState(spec.n, spec.node_count, grid.ravel())
 
 
-def project_even_parity(state: NodeState,
-                        config: NumericsConfig = DEFAULT) -> Tuple[NodeState, float]:
+def project_even_parity(state: NodeState) -> Tuple[NodeState, float]:
     """Project onto even-Hamming-weight vertices and renormalize.
 
     Returns the projected state and the discarded probability weight.
@@ -183,9 +181,9 @@ def project_even_parity(state: NodeState,
     kept = np.where(parity == 0, state.amplitudes, 0.0)
     kept_weight = float(np.sum(np.abs(kept) ** 2))
     leaked = 1.0 - kept_weight
-    if kept_weight <= config.strict_tol:
+    if kept_weight <= STRICT_TOL:
         raise ValueError("state has no even-parity weight to project onto")
-    projected = NodeState(state.n, kept / math.sqrt(kept_weight), config)
+    projected = NodeState(state.n, kept / math.sqrt(kept_weight))
     return projected, max(leaked, 0.0)
 
 

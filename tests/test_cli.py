@@ -6,7 +6,7 @@ import re
 
 import pytest
 
-from qwsearch.cli import CSV_COLUMNS, main
+from qwsearch.cli import CSV_COLUMNS, main, parse_config
 
 
 def _write(path, text):
@@ -174,9 +174,24 @@ output.summary = summary.json
      "pure state"),
     ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
      "state.family = interpolated\nstate.t = 0.2, 0.4\nstate.alpha = 0.1, 0.2",
-     "one family parameter"),
+     "state family 'interpolated' does not take alpha"),
     ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
-     "numerics.not_a_field = 1", "numerics"),
+     "numerics.conservation_tol = 1e-10", "unknown key 'numerics."),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
+     "state.family = basis\nstate.i = 2\nstate.t = 0.1, 0.2\nstate.alpha = 0.3",
+     "state family 'basis' does not take t"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
+     "state.family = mixed_ensemble\nstate.members = 1\nstate.t = 0.5\n"
+     "state.member1.weight = 1\nstate.member1.spec = uniform:n=4",
+     "state family 'mixed_ensemble' does not take t"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
+     "state.family = mixed_ensemble\nstate.members = 1\n"
+     "state.member1.weight = 1\nstate.member1.spec = ghz:n=4,beta=2",
+     "state family 'ghz' does not take beta"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 6\n"
+     "state.family = mixed_ensemble\nstate.members = 1\n"
+     "state.member1.weight = 1\nstate.member1.spec = uniform:n=3",
+     "state.member1.spec has n=3 but run.n = 6"),
     ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\nrun.threads = 2",
      "unknown key"),
 ])
@@ -197,11 +212,11 @@ def test_missing_config_file_exit_2(tmp_path, capsys):
 
 def test_conservation_guard_exit_3(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr("qwsearch.walk.CONSERVATION_TOL", 1e-18)
     text = """
 experiment.id = tight
 run.variant = skw
 run.n = 5
-numerics.conservation_tol = 1e-18
 output.csv = rows.csv
 output.summary = summary.json
 """
@@ -256,6 +271,39 @@ def test_measures_basis(capsys):
 def test_measures_bad_spec_exit_2(capsys):
     assert main(["measures", "hologram:n=3"]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec,fragment", [
+    ("ghz:n=3,beta=2", "state family 'ghz' does not take beta"),
+    ("haar:n=4,sed=7", "state family 'haar_random' does not take sed"),
+    ("uniform:n=4,i=3", "state family 'uniform' does not take i"),
+])
+def test_measures_param_outside_family_exit_2(capsys, spec, fragment):
+    assert main(["measures", spec]) == 2
+    assert fragment in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "uniform:n=4", "--restarts", "0"],
+    ["sweep-fig4", "--n", "3", "--restarts", "-1"],
+])
+def test_restarts_below_one_exit_2(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QWSEARCH_OUT", raising=False)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--restarts must be >= 1" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_readme_config_block_parses():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        block = re.search(r"```ini\n(.*?)```", fh.read(), re.S).group(1)
+    cfg = parse_config(block)
+    assert cfg.state_family == "interpolated"
+    assert cfg.family_params == {"t": [0.0, 0.25, 0.5, 1.0]}
 
 
 def test_verify_passes(capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwsearch import (DEFAULT, MixedEnsemble, NodeState, apply_local_layer,
+from qwsearch import (MixedEnsemble, NodeState, apply_local_layer,
                       best_pauli_basis, coherence_fraction,
                       enumerate_pauli_layers, even_coherence_fraction,
                       fidelity_coherence, groverian_entanglement,

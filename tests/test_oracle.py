@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qwsearch import (DEFAULT, OSKW, SKW, IterationPlan, WalkSpec,
+from qwsearch import (OSKW, SKW, IterationPlan, WalkSpec,
                       build_dense_evolution, compose_walker, evolve,
                       evolve_dense, grid_product_overlap,
                       groverian_entanglement, make_ghz_node_state,

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwsearch import (DEFAULT, LocalLayer, MixedEnsemble, NodeState,
+from qwsearch import (LocalLayer, MixedEnsemble, NodeState,
                       apply_local_layer, compose_walker, hadamard_layer,
                       identity_layer,
                       make_basis_node_state, make_even_uniform_node_state,
@@ -173,16 +173,17 @@ def test_mixed_ensemble_validation():
         MixedEnsemble(((0.5, eta), (0.5, make_basis_node_state(2, 0))))
 
 
-def test_mixed_ensemble_weight_tolerance_from_config():
+def test_mixed_ensemble_weight_tolerance_from_config(monkeypatch):
     eta = make_uniform_node_state(3)
     b0 = make_basis_node_state(3, 0)
     off = ((0.5, eta), (0.5 + 1e-9, b0))
     with pytest.raises(ValueError):
         MixedEnsemble(off)
-    assert MixedEnsemble(off, DEFAULT.replace(strict_tol=1e-8)).n == 3
+    monkeypatch.setattr("qwsearch.states.STRICT_TOL", 1e-8)
+    assert MixedEnsemble(off).n == 3
+    monkeypatch.setattr("qwsearch.states.STRICT_TOL", 1e-14)
     with pytest.raises(ValueError):
-        MixedEnsemble(((0.5, eta), (0.5 + 1e-13, b0)),
-                      DEFAULT.replace(strict_tol=1e-14))
+        MixedEnsemble(((0.5, eta), (0.5 + 1e-13, b0)))
 
 
 def test_even_uniform_support_and_norm():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwsearch import (DEFAULT, OSKW, SKW, IterationPlan, WalkSpec,
+from qwsearch import (OSKW, SKW, IterationPlan, WalkSpec,
                       WalkerState, apply_perturbed_coin, apply_shift,
                       build_dense_evolution, compose_walker,
                       evolve, evolve_dense, make_basis_node_state,
@@ -239,10 +239,10 @@ def test_oskw_evolution_preserves_even_support():
     assert np.max(np.abs(g[:, parity == 1])) < 1e-14
 
 
-def test_conservation_guard_trips():
+def test_conservation_guard_trips(monkeypatch):
     from qwsearch import InvariantViolation
-    cfg = DEFAULT.replace(conservation_tol=1e-18)
+    monkeypatch.setattr("qwsearch.walk.CONSERVATION_TOL", 1e-18)
     w = compose_walker(uniform_coin(5), make_uniform_node_state(5))
     spec = WalkSpec(n=5, node_count=32, target=0)
     with pytest.raises(InvariantViolation):
-        evolve(w, spec, IterationPlan.explicit(10), config=cfg)
+        evolve(w, spec, IterationPlan.explicit(10))
