@@ -18,7 +18,7 @@ from .states import (MixedEnsemble, NodeState, WalkerState, apply_local_layer,
                      make_w_node_state, overlap, uniform_coin)
 from .walk import (OSKW, SKW, IterationPlan, WalkSpec, apply_perturbed_coin,
                    apply_shift, evolve, project_even_parity,
-                   success_probability)
+                   success_probability, target_probabilities)
 from .measures import (LocalLayer, ResourceReport, best_pauli_basis,
                        coherence_fraction, even_coherence_fraction,
                        fidelity_coherence, groverian_entanglement,
@@ -42,7 +42,7 @@ __all__ = [
     "make_uniform_node_state", "make_w_node_state", "overlap", "uniform_coin",
     "OSKW", "SKW", "IterationPlan", "WalkSpec", "apply_perturbed_coin",
     "apply_shift", "evolve", "project_even_parity",
-    "success_probability",
+    "success_probability", "target_probabilities",
     "LocalLayer", "ResourceReport", "best_pauli_basis", "coherence_fraction",
     "enumerate_pauli_layers", "even_coherence_fraction", "fidelity_coherence",
     "groverian_entanglement", "hadamard_layer", "identity_layer",

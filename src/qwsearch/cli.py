@@ -19,6 +19,7 @@ Relative output paths resolve against $QWSEARCH_OUT when it is set.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -137,6 +138,12 @@ _KNOWN_KEYS = {
     "output.csv", "output.summary",
 }
 _MEMBER_KEY = re.compile(r"^state\.member(\d+)\.(weight|spec)$")
+# run keys only some variants read -> the variants that read them
+_VARIANT_KEYS = {
+    "run.restarts": ("skw1", "skw2", "oskw1"),
+    "run.measure_entanglement": ("skw1", "oskw1"),
+    "run.denominator": ("oskw1",),
+}
 
 
 @dataclass(frozen=True)
@@ -229,6 +236,15 @@ def parse_config(text: str) -> ExperimentConfig:
     variant = kv["run.variant"].lower()
     if variant not in VARIANTS:
         raise ConfigError(f"run.variant must be one of {VARIANTS}, got {variant!r}")
+    for key, readers in _VARIANT_KEYS.items():
+        if key in kv and variant not in readers:
+            raise ConfigError(f"{key} applies to {', '.join(readers)} only, "
+                              f"not run.variant = {variant}")
+    if variant in ("skw", "oskw"):
+        for key in kv:
+            if key.startswith("state."):
+                raise ConfigError(f"{key}: run.variant = {variant} builds its "
+                                  "own start state")
     if "run.n" not in kv:
         raise ConfigError("missing required key 'run.n'")
     n = _to_int("run.n", kv["run.n"])
@@ -690,10 +706,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on first use."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -31,3 +31,4 @@ DENSE_GUARD_N = 5           # dense operator dimension n * 2^n
 GRID_GUARD_N = 3            # exhaustive Bloch-angle grid
 GRID_GUARD_RESOLUTION = 64  # subdivisions per angle
 IDENTITY_CHECK_GUARD_N = 6  # verify_theorem_identities trial size
+WALK_GUARD_N = 20           # walk directions: an (n, 2^n) float64 grid is 168 MB

@@ -1,8 +1,9 @@
 """End-to-end search runs for every algorithm variant.
 
-Each runner loops the marked vertex over all admissible targets, evolves
-the walker, and reports the target-averaged success probability next to
-the closed-form prediction for that variant:
+Each runner takes the success probability for every admissible marked
+vertex from one call to the spectral engine (`walk.target_probabilities`)
+and reports the target average next to the closed-form prediction for
+that variant:
 
     skw, skw1 -> f_c / 2         skw2 -> (1 - E_g^2) / 2
     skw3      -> (1 - C_f^2) / 2 oskw, oskw1 -> f_c (even subspace)
@@ -23,10 +24,9 @@ from .measures import (ResourceReport, best_pauli_basis, coherence_fraction,
                        groverian_entanglement, hadamard_layer,
                        optimize_local_layer_detailed, pauli_layer)
 from .states import (MixedEnsemble, NodeState, StateLike, apply_local_layer,
-                     compose_walker, make_even_uniform_node_state,
-                     make_uniform_node_state, uniform_coin)
-from .walk import (OSKW, SKW, IterationPlan, WalkSpec, evolve,
-                   project_even_parity, success_probability)
+                     make_even_uniform_node_state, make_uniform_node_state)
+from .walk import (OSKW, SKW, IterationPlan, project_even_parity,
+                   target_probabilities)
 
 VARIANTS = ("skw", "skw1", "skw2", "skw3", "oskw", "oskw1")
 # target-average divisor for an n-direction walk: all vertices, or the even ones
@@ -94,15 +94,8 @@ def predicted_probability(variant: str, resource: ResourceReport) -> float:
 
 def _per_target_probs(node: NodeState, plan: IterationPlan, variant: str,
                       targets: Sequence[int], metric: str) -> np.ndarray:
-    """Success probability for each marked vertex, one forward walk each."""
-    walker = compose_walker(uniform_coin(node.n), node)
-    probs = np.empty(len(targets))
-    for k, tg in enumerate(targets):
-        spec = WalkSpec(n=node.n, node_count=node.dim, target=int(tg),
-                        variant=variant)
-        probs[k] = success_probability(evolve(walker, spec, plan), int(tg),
-                                       metric)
-    return probs
+    """Success probability for each marked vertex in `targets`."""
+    return target_probabilities(node, plan, variant, metric)[np.asarray(targets)]
 
 
 def _base_report(state: NodeState, entanglement: bool, restarts: Optional[int],

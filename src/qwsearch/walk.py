@@ -9,6 +9,13 @@ V_opt = S (C0 x I) S C, so a single application consumes two shift rounds.
 C0 is the Grover coin (2/n)J - I and C1 = -I, the fixed coins of the
 Shenvi-Kempe-Whaley search. No operator matrix is ever formed: the shift
 is a gather and C0 is twice the column mean minus the column.
+
+Two routes compute success probabilities. `evolve` runs the walk forward
+for one marked vertex and is the reference. `target_probabilities` serves
+every marked vertex at once: relabeling vertices by x -> x XOR t commutes
+with S and C0 and moves the mark from 0 to t, so one set of adjoint
+kernels with the mark at 0 gives all targets through Walsh-Hadamard
+transforms.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .config import CONSERVATION_TOL, STRICT_TOL, InvariantViolation
+from .config import (CONSERVATION_TOL, STRICT_TOL, WALK_GUARD_N,
+                     InvariantViolation)
 from .states import NodeState, WalkerState
 
 SKW = "skw"
@@ -43,6 +51,9 @@ class WalkSpec:
     def __post_init__(self):
         if self.n < 2:
             raise ValueError(f"walk needs n >= 2 directions, got {self.n}")
+        if self.n > WALK_GUARD_N:
+            raise ValueError(f"walk size guard: n={self.n} directions exceeds "
+                             f"{WALK_GUARD_N}")
         if self.node_count != 1 << self.n:
             raise ValueError(
                 f"node_count {self.node_count} != 2**n for n={self.n} directions"
@@ -117,6 +128,27 @@ def _shift(grid: np.ndarray, index: np.ndarray) -> np.ndarray:
     return grid.ravel()[index]
 
 
+def _check_norm(grid: np.ndarray) -> None:
+    # squares of the float view, summed without a BLAS call (unlike vdot)
+    total = float(np.square(grid.view(np.float64)).sum())
+    if abs(total - 1.0) > CONSERVATION_TOL:
+        raise InvariantViolation(
+            "walker norm conservation", f"total probability {total!r}"
+        )
+
+
+def _fwht(a: np.ndarray) -> np.ndarray:
+    """Unnormalized Walsh-Hadamard transform along the last axis; H H = N I."""
+    lead, N = a.shape[:-1], a.shape[-1]
+    h = 1
+    while h < N:
+        pairs = a.reshape(*lead, N // (2 * h), 2, h)
+        lo, hi = pairs[..., 0, :], pairs[..., 1, :]
+        a = np.stack((lo + hi, lo - hi), axis=-2)
+        h *= 2
+    return a.reshape(*lead, N)
+
+
 # ---------------------------------------------------------------------------
 # elementary operators
 
@@ -162,13 +194,55 @@ def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan) -> WalkerSta
         grid = _shift(_marked_coin(grid, spec.target), index)
         if spec.variant == OSKW:
             grid = _shift(_grover(grid), index)
-        # squares of the float view, summed without a BLAS call (unlike vdot)
-        total = float(np.square(grid.view(np.float64)).sum())
-        if abs(total - 1.0) > CONSERVATION_TOL:
-            raise InvariantViolation(
-                "walker norm conservation", f"total probability {total!r}"
-            )
+        _check_norm(grid)
     return WalkerState(spec.n, spec.node_count, grid.ravel())
+
+
+def _adjoint_kernels(spec: WalkSpec, plan: IterationPlan) -> np.ndarray:
+    """K[d] = uniform coin . (V^dagger)^steps |d, mark>, shape (n, node_count), real.
+
+    Every operator of the step is real and symmetric, so the adjoint of
+    V = S C is C S and that of V_opt = S C0 S C is C S C0 S. The walks run
+    one direction at a time on a real grid, with the norm checked after
+    every adjoint step.
+    """
+    n, N = spec.n, spec.node_count
+    index = _shift_index(n, N)
+    steps = plan.tau if spec.variant == SKW else plan.tau // 2
+    kernels = np.empty((n, N))
+    for d in range(n):
+        grid = np.zeros((n, N))
+        grid[d, spec.target] = 1.0
+        for _ in range(steps):
+            grid = _shift(grid, index)
+            if spec.variant == OSKW:
+                grid = _shift(_grover(grid), index)
+            grid = _marked_coin(grid, spec.target)
+            _check_norm(grid)
+        kernels[d] = grid.sum(axis=0) / math.sqrt(n)
+    return kernels
+
+
+def target_probabilities(state: NodeState, plan: IterationPlan, variant: str,
+                         metric: str) -> np.ndarray:
+    """Success probability for every marked vertex t, indexed by t.
+
+    The walk starts from the uniform coin (x) state, as in `evolve`. With
+    the mark at t the amplitude at (d, t) is sum_y K_d(y) psi(y XOR t), an
+    XOR convolution, so it equals H(H K_d . H psi) / N for the
+    Walsh-Hadamard transform H. The vertex metric sums |amplitude|^2 over
+    d; the gamma metric reads the single kernel sum_d K_d / sqrt(n). The
+    two-shift walk is defined for even targets only; its odd entries carry
+    no meaning.
+    """
+    if metric not in ("vertex", "gamma"):
+        raise ValueError(f"unknown metric {metric!r}")
+    spec = WalkSpec(n=state.n, node_count=state.dim, target=0, variant=variant)
+    kernels = _adjoint_kernels(spec, plan)
+    if metric == "gamma":
+        kernels = kernels.sum(axis=0, keepdims=True) / math.sqrt(spec.n)
+    amps = _fwht(_fwht(kernels) * _fwht(state.amplitudes)) / spec.node_count
+    return np.sum(np.abs(amps) ** 2, axis=0)
 
 
 def project_even_parity(state: NodeState) -> Tuple[NodeState, float]:

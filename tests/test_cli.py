@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -194,6 +195,26 @@ output.summary = summary.json
      "state.member1.spec has n=3 but run.n = 6"),
     ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\nrun.threads = 2",
      "unknown key"),
+    ("experiment.id = demo\nrun.variant = skw\nrun.n = 3\n"
+     "state.family = interpolated\nstate.t = 0.2, 0.4",
+     "run.variant = skw builds its own start state"),
+    ("experiment.id = demo\nrun.variant = oskw\nrun.n = 3\n"
+     "state.family = uniform", "run.variant = oskw builds its own start state"),
+    ("experiment.id = demo\nrun.variant = skw\nrun.n = 3\n"
+     "state.members = 1\nstate.member1.weight = 1\n"
+     "state.member1.spec = uniform:n=3", "builds its own start state"),
+    ("experiment.id = demo\nrun.variant = skw3\nrun.n = 3\n"
+     "state.family = basis\nrun.measure_entanglement = true",
+     "run.measure_entanglement applies to skw1, oskw1 only"),
+    ("experiment.id = demo\nrun.variant = skw3\nrun.n = 3\n"
+     "state.family = basis\nrun.restarts = 5",
+     "run.restarts applies to skw1, skw2, oskw1 only"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 3\n"
+     "run.denominator = vertex-count", "run.denominator applies to oskw1 only"),
+    ("experiment.id = demo\nrun.variant = skw2\nrun.n = 3\n"
+     "run.measure_entanglement = false", "not run.variant = skw2"),
+    ("experiment.id = demo\nrun.variant = oskw\nrun.n = 3\nrun.restarts = 4",
+     "not run.variant = oskw"),
 ])
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, text, fragment):
     monkeypatch.chdir(tmp_path)
@@ -203,6 +224,35 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, text, fragment):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert fragment in err
+
+
+def test_variant_keys_accepted_where_read():
+    cfg = parse_config("experiment.id = demo\nrun.variant = oskw1\nrun.n = 4\n"
+                       "run.restarts = 3\nrun.measure_entanglement = true\n"
+                       "run.denominator = vertex-count\nstate.family = uniform")
+    assert (cfg.restarts, cfg.measure_entanglement, cfg.denominator) == (
+        3, True, "vertex-count")
+    cfg = parse_config("experiment.id = demo\nrun.variant = skw\nrun.n = 4\n"
+                       "run.seeds = 1, 2\nrun.metric = gamma")
+    assert cfg.seeds == (1, 2) and cfg.metric == "gamma"
+
+
+def test_main_builds_parser_once(monkeypatch, capsys):
+    assert main(["measures", "uniform:n=2"]) == 0
+    made = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for argv in (["measures", "uniform:n=2"], ["verify", "--max-n", "2",
+                                               "--trials", "1"],
+                 ["measures", "uniform:n=2"]):
+        assert main(argv) == 0
+    assert main(["run"]) == 2                  # usage error, same parser
+    assert made == []
 
 
 def test_missing_config_file_exit_2(tmp_path, capsys):

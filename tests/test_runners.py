@@ -3,16 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from qwsearch import (InvariantViolation, IterationPlan, MixedEnsemble,
-                      NodeState, ResourceReport, RunResult, WalkSpec,
-                      apply_local_layer, compose_walker, enumerate_pauli_layers,
+from qwsearch import (OSKW, SKW, InvariantViolation, IterationPlan,
+                      MixedEnsemble, NodeState, ResourceReport, RunResult,
+                      WalkSpec, apply_local_layer, best_pauli_basis,
+                      compose_walker, enumerate_pauli_layers, evolve,
                       evolve_dense, hadamard_layer, make_basis_node_state,
                       make_even_uniform_node_state, make_ghz_node_state,
                       make_interpolated_node_state, make_random_node_state,
                       make_tilted_node_state, make_uniform_node_state,
+                      optimize_local_layer_detailed, pauli_layer,
                       predicted_probability, project_even_parity, run_oskw,
                       run_oskw1, run_skw, run_skw1, run_skw2, run_skw3,
-                      success_probability, uniform_coin)
+                      success_probability, target_probabilities,
+                      uniform_coin)
 
 BOUND_N8 = 3 / math.sqrt(2 ** 8)
 
@@ -248,6 +251,66 @@ def test_per_target_matches_dense_oracle(n, tau, metric):
             spec = WalkSpec(n=n, node_count=N, target=tg, variant=variant)
             ref = success_probability(evolve_dense(start, spec, plan), tg, metric)
             assert abs(p - ref) <= 1e-12
+
+
+def _forward_probs(node, plan, variant, metric, targets):
+    """The reference route: one forward walk per marked vertex."""
+    start = compose_walker(uniform_coin(node.n), node)
+    return np.array([
+        success_probability(evolve(start, WalkSpec(n=node.n, node_count=node.dim,
+                                                   target=int(tg), variant=variant),
+                                   plan), int(tg), metric)
+        for tg in targets])
+
+
+@pytest.mark.parametrize("metric", ["vertex", "gamma"])
+@pytest.mark.parametrize("variant,tau", [(SKW, 0), (SKW, None), (OSKW, 0),
+                                         (OSKW, 13), (OSKW, None)])
+@pytest.mark.parametrize("n", [6, 8])
+def test_engine_matches_forward_walk(n, variant, tau, metric):
+    node = make_random_node_state(n, seed=100 + n)
+    if variant == OSKW:
+        node, _ = project_even_parity(node)
+        targets = np.nonzero((np.bitwise_count(np.arange(2 ** n)) & 1) == 0)[0]
+        plan = IterationPlan.oskw_optimal(2 ** n)
+    else:
+        targets = np.arange(2 ** n)
+        plan = IterationPlan.skw_optimal(n)
+    if tau is not None:   # odd tau: the two-shift walk drops the leftover round
+        plan = IterationPlan.explicit(tau)
+    got = target_probabilities(node, plan, variant, metric)[targets]
+    ref = _forward_probs(node, plan, variant, metric, targets)
+    assert np.max(np.abs(got - ref)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_runners_match_forward_walk_on_walked_states(n):
+    plan = IterationPlan.skw_optimal(n)
+    targets = np.arange(2 ** n)
+
+    def deviation(res, ref):
+        assert [tg for tg, _ in res.per_target] == list(targets)
+        return np.max(np.abs(np.array([p for _, p in res.per_target]) - ref))
+
+    members = [make_random_node_state(n, seed=1), make_ghz_node_state(n, 0.3),
+               make_tilted_node_state(n, 0.7)]
+    weights = [0.5, 0.3, 0.2]
+    res = run_skw1(MixedEnsemble(tuple(zip(weights, members))), plan)
+    ref = sum(w * _forward_probs(m, plan, SKW, "vertex", targets)
+              for w, m in zip(weights, members))
+    assert deviation(res, ref) <= 1e-12
+
+    s = make_random_node_state(n, seed=7)
+    layer, _, _ = optimize_local_layer_detailed(s, 4, 2)
+    walked = apply_local_layer(s, layer)
+    assert deviation(run_skw2(s, plan, restarts=4, seed=2),
+                     _forward_probs(walked, plan, SKW, "vertex", targets)) <= 1e-12
+
+    i, _ = best_pauli_basis(s)
+    frame = pauli_layer("".join("X" if (i >> j) & 1 else "Z" for j in range(n)))
+    walked = apply_local_layer(apply_local_layer(s, frame), hadamard_layer(n))
+    assert deviation(run_skw3(s, plan),
+                     _forward_probs(walked, plan, SKW, "vertex", targets)) <= 1e-12
 
 
 def test_gamma_metric_runner():

@@ -9,7 +9,9 @@ from qwsearch import (OSKW, SKW, IterationPlan, WalkSpec,
                       build_dense_evolution, compose_walker,
                       evolve, evolve_dense, make_basis_node_state,
                       make_uniform_node_state,
-                      project_even_parity, success_probability, uniform_coin)
+                      project_even_parity, success_probability,
+                      target_probabilities, uniform_coin)
+from qwsearch.config import WALK_GUARD_N
 
 
 def _uniform_walker(n):
@@ -246,3 +248,19 @@ def test_conservation_guard_trips(monkeypatch):
     spec = WalkSpec(n=5, node_count=32, target=0)
     with pytest.raises(InvariantViolation):
         evolve(w, spec, IterationPlan.explicit(10))
+    with pytest.raises(InvariantViolation, match="walker norm conservation"):
+        target_probabilities(make_uniform_node_state(5),
+                             IterationPlan.explicit(10), SKW, "vertex")
+
+
+def test_walk_size_guard():
+    assert WALK_GUARD_N == 20
+    WalkSpec(n=20, node_count=2 ** 20, target=0)
+    with pytest.raises(ValueError, match="walk size guard"):
+        WalkSpec(n=21, node_count=2 ** 21, target=0)
+
+
+def test_engine_rejects_unknown_metric():
+    with pytest.raises(ValueError, match="unknown metric"):
+        target_probabilities(make_uniform_node_state(3),
+                             IterationPlan.explicit(2), SKW, "edge")
