@@ -49,8 +49,7 @@ __all__ = [
     "optimize_local_layer_detailed", "pauli_layer",
     "RunResult", "predicted_probability", "run_oskw", "run_oskw1", "run_skw",
     "run_skw1", "run_skw2", "run_skw3",
-    "DenseOperator", "build_dense_evolution", "enumerate_pauli_layers",
-    "evolve_dense",
+    "DenseOperator", "build_dense_evolution", "evolve_dense",
     "grid_product_overlap", "verify_theorem_identities",
     "xor_covariance_deviation",
     "__version__",

@@ -614,11 +614,11 @@ def _cmd_measures(args) -> int:
     print(f"C_f = {report.C_f!r}")
     print(f"E_g = {report.E_g!r} (best product overlap {report.E_g_overlap!r}, "
           f"{'converged' if report.converged else 'NOT converged'}, "
-          f"{report.restarts_used} restarts)")
+          f"{report.restarts_used} restarts, {report.sweeps} sweeps)")
     print(json.dumps({
         "f_c": report.f_c, "C_f": report.C_f, "E_g": report.E_g,
         "E_g_overlap": report.E_g_overlap, "converged": report.converged,
-        "restarts_used": report.restarts_used,
+        "restarts_used": report.restarts_used, "sweeps": report.sweeps,
     }))
     return 0
 

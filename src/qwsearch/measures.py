@@ -17,7 +17,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .config import HOPM_RESTARTS, HOPM_SWEEP_CAP, OVERLAP_TOL, UNITARY_TOL
+from .config import (HOPM_BATCH_ENTRIES, HOPM_RESTARTS, HOPM_SWEEP_CAP,
+                     OVERLAP_TOL, UNITARY_TOL)
 from .states import (MixedEnsemble, NodeState, StateLike, apply_local_layer,
                      make_even_uniform_node_state, make_uniform_node_state, overlap)
 
@@ -78,6 +79,7 @@ class ResourceReport:
     E_g_overlap: Optional[float] = None
     restarts_used: Optional[int] = None
     converged: Optional[bool] = None
+    sweeps: Optional[int] = None  # most sweeps any optimizer restart used
 
 
 # ---------------------------------------------------------------------------
@@ -114,24 +116,6 @@ def best_pauli_basis(state: NodeState) -> Tuple[int, float]:
 # ---------------------------------------------------------------------------
 # product-overlap maximization (alternating single-site updates)
 
-def _contract_except(tensor: np.ndarray, us: List[np.ndarray], n: int,
-                     j: int) -> np.ndarray:
-    """Contract conj(u_q) on every qubit axis except j; returns a 2-vector.
-
-    Axis a of the tensor holds qubit n-1-a; the live axis list tracks
-    positions as contractions remove axes.
-    """
-    t = tensor
-    axis_qubit = list(range(n - 1, -1, -1))
-    for q in range(n - 1, -1, -1):
-        if q == j:
-            continue
-        a = axis_qubit.index(q)
-        t = np.tensordot(np.conj(us[q]), t, axes=([0], [a]))
-        axis_qubit.pop(a)
-    return t
-
-
 def _random_product(n: int, rng: np.random.Generator) -> List[np.ndarray]:
     us = []
     for _ in range(n):
@@ -141,41 +125,55 @@ def _random_product(n: int, rng: np.random.Generator) -> List[np.ndarray]:
 
 
 def _hopm(state: NodeState, restarts: int,
-          seed: int) -> Tuple[float, List[np.ndarray], bool]:
-    """Best squared product overlap Lambda^2, its factors, and convergence.
+          seed: int) -> Tuple[float, List[np.ndarray], bool, int]:
+    """Best squared product overlap Lambda^2, its factors, convergence, and
+    the most sweeps any restart used.
 
     Each restart seeds its own generator from (seed, restart index), so the
     result is independent of any execution schedule. A sweep fixes every
-    factor but one; the optimal free factor is the normalized partial
-    contraction, and the overlap is non-decreasing, so the sweep loop stops
-    once the gain drops below OVERLAP_TOL.
+    factor but one, qubit 0 first; the optimal free factor is the normalized
+    partial contraction: the prefix L (psi contracted with this sweep's
+    factors, qubit j the low axis) against the suffix (x)_{q>j} conj(u_q) of
+    the old ones. The overlap is non-decreasing, so a restart leaves the
+    batch once its gain drops below OVERLAP_TOL. Restarts run in blocks whose
+    widest array (block x N/2 entries) stays under HOPM_BATCH_ENTRIES.
     """
     n = state.n
-    tensor = state.amplitudes.reshape((2,) * n)
-    best_lam2 = -1.0
-    best_us: List[np.ndarray] = []
-    all_converged = True
-    for r in range(restarts):
-        rng = np.random.default_rng([seed, r])
-        us = _random_product(n, rng)
-        lam = 0.0
-        converged = False
-        for _ in range(HOPM_SWEEP_CAP):
-            prev = lam
+    psi = state.amplitudes.reshape(1, -1, 2)
+    us = np.array([_random_product(n, np.random.default_rng([seed, r]))
+                   for r in range(restarts)])
+    lam = np.zeros(restarts)
+    converged = np.zeros(restarts, dtype=bool)
+    sweeps = np.zeros(restarts, dtype=np.int64)
+    block = max(1, HOPM_BATCH_ENTRIES // (state.dim // 2))
+    for lo in range(0, restarts, block):
+        live = np.arange(lo, min(lo + block, restarts))
+        for sweep in range(1, HOPM_SWEEP_CAP + 1):
+            u = us[live]
+            cu = np.conj(u)
+            suffix = [np.ones((live.size, 1), dtype=np.complex128)]
+            for j in range(n - 1, 0, -1):
+                suffix.append((suffix[-1][:, :, None] * cu[:, j, None, :])
+                              .reshape(live.size, -1))
+            prefix = psi
             for j in range(n):
-                v = _contract_except(tensor, us, n, j)
-                nv = float(np.linalg.norm(v))
-                if nv > 0.0:
-                    us[j] = v / nv
-                lam = nv
-            if lam - prev < OVERLAP_TOL:
-                converged = True
+                if j:
+                    prefix = np.einsum('rxa,ra->rx', prefix, np.conj(u[:, j - 1])
+                                       ).reshape(live.size, -1, 2)
+                v = np.einsum('rxa,rx->ra', prefix, suffix.pop())
+                w = v.view(np.float64)
+                nv = np.sqrt(np.einsum('ri,ri->r', w, w))[:, None]
+                np.divide(v, nv, out=u[:, j], where=nv > 0.0)
+            us[live] = u
+            done = nv[:, 0] - lam[live] < OVERLAP_TOL
+            lam[live], sweeps[live] = nv[:, 0], sweep
+            converged[live[done]] = True
+            live = live[~done]
+            if live.size == 0:
                 break
-        all_converged = all_converged and converged
-        if lam * lam > best_lam2:
-            best_lam2 = lam * lam
-            best_us = [u.copy() for u in us]
-    return best_lam2, best_us, all_converged
+    best = int(np.argmax(lam * lam))  # the first maximum, as a strict > scan
+    return (float(lam[best] * lam[best]), list(us[best]), bool(converged.all()),
+            int(sweeps.max()))
 
 
 def _entanglement(state: NodeState, restarts: Optional[int],
@@ -185,7 +183,7 @@ def _entanglement(state: NodeState, restarts: Optional[int],
         restarts = HOPM_RESTARTS
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    lam2, us, converged = _hopm(state, restarts, seed)
+    lam2, us, converged, sweeps = _hopm(state, restarts, seed)
     return us, ResourceReport(
         f_c=coherence_fraction(state),
         C_f=fidelity_coherence(state),
@@ -193,6 +191,7 @@ def _entanglement(state: NodeState, restarts: Optional[int],
         E_g_overlap=lam2,
         restarts_used=restarts,
         converged=converged,
+        sweeps=sweeps,
     )
 
 

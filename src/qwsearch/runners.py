@@ -12,6 +12,7 @@ that variant:
 from __future__ import annotations
 
 import dataclasses
+import math
 import time
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
@@ -61,7 +62,7 @@ class RunResult:
             raise InvariantViolation("probability range", f"p_pred = {self.p_pred!r}")
         if self.denominator not in _DENOMINATORS:
             raise ValueError(f"unknown denominator {self.denominator!r}")
-        mean = (sum(p for _, p in self.per_target)
+        mean = (math.fsum(p for _, p in self.per_target)
                 / _DENOMINATORS[self.denominator](self.n))
         if abs(self.p_avg - mean) > 1e-14:
             raise InvariantViolation(
@@ -109,12 +110,13 @@ def _base_report(state: NodeState, entanglement: bool, restarts: Optional[int],
 def _finish(variant, n, plan, targets, probs, resource, seed, t0,
             leaked=None, metric="vertex",
             denominator="vertex-count") -> RunResult:
-    p_avg = probs.sum() / _DENOMINATORS[denominator](n)
+    # exactly rounded, so RunResult's recomputed mean agrees at every n
+    p_avg = math.fsum(probs.tolist()) / _DENOMINATORS[denominator](n)
     p_pred = predicted_probability(variant, resource)
     return RunResult(
         variant=variant, n=n, tau=plan.tau,
         per_target=tuple(zip((int(t) for t in targets), map(float, probs))),
-        p_avg=float(p_avg), p_pred=float(p_pred),
+        p_avg=p_avg, p_pred=float(p_pred),
         abs_dev=float(abs(p_avg - p_pred)), resource=resource, seed=seed,
         wall_ms=(time.perf_counter() - t0) * 1e3, leaked_weight=leaked,
         metric=metric, denominator=denominator,

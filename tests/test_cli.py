@@ -276,6 +276,20 @@ output.summary = summary.json
     assert "walker norm conservation" in err
 
 
+def test_run_reference_algorithm_at_twelve_directions(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = """
+experiment.id = large
+run.variant = skw
+run.n = 12
+output.csv = rows.csv
+output.summary = summary.json
+"""
+    assert main(["run", _write(tmp_path / "cfg.txt", text)]) == 0
+    (row,) = _read_rows(tmp_path / "rows.csv")
+    assert row["n"] == "12" and 0.4 <= float(row["p_avg"]) <= 0.5
+
+
 def test_out_env_redirects_relative_paths(tmp_path, monkeypatch):
     outdir = tmp_path / "results"
     monkeypatch.chdir(tmp_path)
@@ -301,6 +315,8 @@ def test_measures_uniform(capsys):
     assert payload["f_c"] == pytest.approx(1.0, abs=1e-14)
     assert payload["C_f"] == pytest.approx(math.sqrt(15 / 16), abs=1e-14)
     assert payload["converged"] is True
+    assert isinstance(payload["sweeps"], int) and payload["sweeps"] >= 1
+    assert f"{payload['sweeps']} sweeps" in out
 
 
 def test_measures_ghz3(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qwsearch import measures
 from qwsearch import (MixedEnsemble, NodeState, apply_local_layer,
                       best_pauli_basis, coherence_fraction,
                       enumerate_pauli_layers, even_coherence_fraction,
@@ -180,3 +181,99 @@ def test_ordering_entanglement_vs_fidelity_coherence():
         s = make_random_node_state(3, seed)
         rep = groverian_entanglement(s, seed=seed)
         assert rep.E_g <= rep.C_f + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# batched maximizer against the per-restart loop it replaced
+
+def _contract_except(tensor, us, n, j):
+    # axis a of the tensor holds qubit n-1-a
+    t = tensor
+    axis_qubit = list(range(n - 1, -1, -1))
+    for q in range(n - 1, -1, -1):
+        if q == j:
+            continue
+        a = axis_qubit.index(q)
+        t = np.tensordot(np.conj(us[q]), t, axes=([0], [a]))
+        axis_qubit.pop(a)
+    return t
+
+
+def _reference_hopm(state, restarts, seed):
+    """One restart at a time, n(n-1) tensordots per site; also counts sweeps."""
+    n = state.n
+    tensor = state.amplitudes.reshape((2,) * n)
+    best_lam2, best_us, all_converged, most_sweeps = -1.0, [], True, 0
+    for r in range(restarts):
+        us = measures._random_product(n, np.random.default_rng([seed, r]))
+        lam, converged, sweeps = 0.0, False, 0
+        for _ in range(measures.HOPM_SWEEP_CAP):
+            prev = lam
+            sweeps += 1
+            for j in range(n):
+                v = _contract_except(tensor, us, n, j)
+                nv = float(np.linalg.norm(v))
+                if nv > 0.0:
+                    us[j] = v / nv
+                lam = nv
+            if lam - prev < measures.OVERLAP_TOL:
+                converged = True
+                break
+        all_converged = all_converged and converged
+        most_sweeps = max(most_sweeps, sweeps)
+        if lam * lam > best_lam2:
+            best_lam2 = lam * lam
+            best_us = [u.copy() for u in us]
+    return best_lam2, best_us, all_converged, most_sweeps
+
+
+def _product_overlap(state, us):
+    amps = np.ones(1, dtype=np.complex128)
+    for u in us:
+        amps = np.kron(u, amps)
+    return abs(np.vdot(amps, state.amplitudes)) ** 2
+
+
+# (id, state, seed, unique optimum); GHZ at alpha = pi/4 and W have a family
+# of optimal factors, so the two routes may keep different members of it
+_ROUTE_CASES = (
+    [(f"haar-n{n}-s{s}", make_random_node_state(n, s), s, True)
+     for n in (4, 6, 8) for s in range(3)]
+    + [("ghz-n3", make_ghz_node_state(3), 1, False),
+       ("w-n3", make_w_node_state(3), 1, False)]
+    + [(f"fig4-ghz-n9-{k}", make_ghz_node_state(9, k * math.pi / 40), 0, True)
+       for k in (3, 7)])
+
+
+@pytest.mark.parametrize("state,seed,unique", [c[1:] for c in _ROUTE_CASES],
+                         ids=[c[0] for c in _ROUTE_CASES])
+def test_batched_maximizer_matches_reference_loop(state, seed, unique):
+    lam2, us, converged, sweeps = measures._hopm(state, 32, seed)
+    ref_lam2, ref_us, ref_converged, ref_sweeps = _reference_hopm(state, 32, seed)
+    assert abs(lam2 - ref_lam2) <= 1e-12
+    assert (converged, sweeps) == (ref_converged, ref_sweeps)
+    assert abs(_product_overlap(state, us) - lam2) <= 1e-12
+    if unique:  # the same optimal factors up to a phase on each qubit
+        assert all(abs(abs(np.vdot(a, b)) - 1.0) <= 1e-12 for a, b in zip(us, ref_us))
+    rep = groverian_entanglement(state, seed=seed)
+    assert (rep.E_g_overlap, rep.converged, rep.sweeps) == (lam2, converged, sweeps)
+
+
+def test_batched_maximizer_sweep_cap(monkeypatch):
+    monkeypatch.setattr(measures, "HOPM_SWEEP_CAP", 2)
+    state = make_random_node_state(6, 0)
+    lam2, _, converged, sweeps = measures._hopm(state, 8, 0)
+    ref_lam2, _, ref_converged, ref_sweeps = _reference_hopm(state, 8, 0)
+    assert abs(lam2 - ref_lam2) <= 1e-12
+    assert converged is False and ref_converged is False
+    assert sweeps == ref_sweeps == 2
+
+
+@pytest.mark.parametrize("per_block", [1, 5])
+def test_batched_maximizer_blocks_change_nothing(monkeypatch, per_block):
+    state = make_random_node_state(8, 1)
+    whole = measures._hopm(state, 32, 1)
+    monkeypatch.setattr(measures, "HOPM_BATCH_ENTRIES", per_block * state.dim // 2)
+    blocked = measures._hopm(state, 32, 1)
+    assert blocked[0] == whole[0] and blocked[2:] == whole[2:]
+    assert all(np.array_equal(a, b) for a, b in zip(blocked[1], whole[1]))

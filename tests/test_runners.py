@@ -38,6 +38,15 @@ def test_skw_reference_point():
     assert len(res.per_target) == 256
 
 
+@pytest.mark.parametrize("n", [11, 12])
+def test_skw_average_consistent_past_ten_directions(n):
+    # 2^n per-target values near 1/2 each: the average must not depend on
+    # the summation order
+    res = run_skw(n)
+    assert res.p_avg == math.fsum(p for _, p in res.per_target) / 2 ** n
+    assert 0.4 <= res.p_avg <= 0.5
+
+
 def test_skw1_uniform_matches_plain_walk():
     a = run_skw(8)
     b = run_skw1(make_uniform_node_state(8))
