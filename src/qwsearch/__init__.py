@@ -16,9 +16,8 @@ from .states import (MixedEnsemble, NodeState, WalkerState, apply_local_layer,
                      make_interpolated_node_state, make_random_node_state,
                      make_tilted_node_state, make_uniform_node_state,
                      make_w_node_state, overlap, uniform_coin)
-from .walk import (OSKW, SKW, IterationPlan, WalkSpec, apply_perturbed_coin,
-                   apply_shift, evolve, project_even_parity,
-                   success_probability, target_probabilities)
+from .walk import (OSKW, SKW, IterationPlan, WalkSpec, project_even_parity,
+                   target_probabilities)
 from .measures import (LocalLayer, ResourceReport, best_pauli_basis,
                        coherence_fraction, even_coherence_fraction,
                        fidelity_coherence, groverian_entanglement,
@@ -27,9 +26,9 @@ from .measures import (LocalLayer, ResourceReport, best_pauli_basis,
 from .runners import (RunResult, predicted_probability, run_oskw, run_oskw1,
                       run_skw, run_skw1, run_skw2, run_skw3)
 from .oracle import (DenseOperator, build_dense_evolution,
-                     enumerate_pauli_layers, evolve_dense,
-                     grid_product_overlap, verify_theorem_identities,
-                     xor_covariance_deviation)
+                     enumerate_pauli_layers, evolve, evolve_dense,
+                     grid_product_overlap, success_probability,
+                     verify_theorem_identities, xor_covariance_deviation)
 
 __version__ = "0.1.0"
 
@@ -40,17 +39,16 @@ __all__ = [
     "make_ghz_node_state", "make_interpolated_node_state",
     "make_random_node_state", "make_tilted_node_state",
     "make_uniform_node_state", "make_w_node_state", "overlap", "uniform_coin",
-    "OSKW", "SKW", "IterationPlan", "WalkSpec", "apply_perturbed_coin",
-    "apply_shift", "evolve", "project_even_parity",
-    "success_probability", "target_probabilities",
+    "OSKW", "SKW", "IterationPlan", "WalkSpec", "project_even_parity",
+    "target_probabilities",
     "LocalLayer", "ResourceReport", "best_pauli_basis", "coherence_fraction",
     "enumerate_pauli_layers", "even_coherence_fraction", "fidelity_coherence",
     "groverian_entanglement", "hadamard_layer", "identity_layer",
     "optimize_local_layer_detailed", "pauli_layer",
     "RunResult", "predicted_probability", "run_oskw", "run_oskw1", "run_skw",
     "run_skw1", "run_skw2", "run_skw3",
-    "DenseOperator", "build_dense_evolution", "evolve_dense",
-    "grid_product_overlap", "verify_theorem_identities",
-    "xor_covariance_deviation",
+    "DenseOperator", "build_dense_evolution", "evolve", "evolve_dense",
+    "grid_product_overlap", "success_probability",
+    "verify_theorem_identities", "xor_covariance_deviation",
     "__version__",
 ]

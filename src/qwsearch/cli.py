@@ -25,25 +25,23 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
                     Optional, Sequence, Tuple)
 
 import numpy as np
 
-from .config import DENSE_GUARD_N, IDENTITY_CHECK_GUARD_N, InvariantViolation
+from .config import WALK_GUARD_N, InvariantViolation
 from .measures import ResourceReport, groverian_entanglement
-from .runners import (VARIANTS, RunResult, predicted_probability, run_oskw,
-                      run_oskw1, run_skw, run_skw1, run_skw2, run_skw3)
+from .oracle import oracle_suite
+from .runners import (VARIANTS, RunResult, predicted_probability, run_skw1,
+                      run_skw2, run_skw3)
 from .states import (MixedEnsemble, NodeState, make_basis_node_state,
                      make_even_uniform_node_state, make_ghz_node_state,
                      make_interpolated_node_state, make_random_node_state,
                      make_tilted_node_state, make_uniform_node_state,
                      make_w_node_state)
-from .states import compose_walker, uniform_coin
-from .walk import OSKW, SKW, IterationPlan, WalkSpec, evolve
-from .oracle import (evolve_dense, verify_theorem_identities,
-                     xor_covariance_deviation)
+from .walk import IterationPlan
 
 OUT_ENV = "QWSEARCH_OUT"
 
@@ -130,62 +128,6 @@ def _build_state(family: str, values: Mapping[str, object],
 # ---------------------------------------------------------------------------
 # config parsing
 
-_KNOWN_KEYS = {
-    "experiment.id", "run.variant", "run.n", "run.tau_rule", "run.tau",
-    "run.seeds", "run.restarts", "run.measure_entanglement",
-    "run.metric", "run.denominator", "state.family", "state.i", "state.t",
-    "state.alpha", "state.s", "state.amps", "state.members",
-    "output.csv", "output.summary",
-}
-_MEMBER_KEY = re.compile(r"^state\.member(\d+)\.(weight|spec)$")
-# run keys only some variants read -> the variants that read them
-_VARIANT_KEYS = {
-    "run.restarts": ("skw1", "skw2", "oskw1"),
-    "run.measure_entanglement": ("skw1", "oskw1"),
-    "run.denominator": ("oskw1",),
-}
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """One parsed experiment: what to run, on which states, where to write."""
-
-    experiment_id: str
-    variant: str
-    n: int
-    tau_rule: str = "optimal"
-    tau: Optional[int] = None
-    seeds: Tuple[int, ...] = (0,)
-    restarts: Optional[int] = None
-    measure_entanglement: bool = False
-    metric: str = "vertex"
-    denominator: str = "even-count"
-    state_family: str = "uniform"
-    family_params: Mapping[str, object] = field(default_factory=dict)
-    members: Tuple[Tuple[float, str], ...] = ()
-    output_csv: str = "results.csv"
-    output_summary: str = "summary.json"
-    raw: Mapping[str, str] = field(default_factory=dict)
-
-
-def _parse_kv_text(text: str) -> Dict[str, str]:
-    out: Dict[str, str] = {}
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
-        key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key:
-            raise ConfigError(f"line {lineno}: empty key")
-        if key in out:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        out[key] = value
-    return out
-
-
 def _to_int(key: str, value: str) -> int:
     try:
         return int(value)
@@ -209,8 +151,82 @@ def _to_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-def _float_list(key: str, value: str) -> List[float]:
-    return [_to_float(key, part) for part in value.split(",") if part.strip() != ""]
+# every state parameter with its type, for both grammars, in the order a
+# config's "does not take" check names them; a config sets state.<name>,
+# except n and seed, which come from run.n and run.seeds
+_STATE_PARAMS = {"i": _to_int, "t": _to_float, "alpha": _to_float, "s": _to_float,
+                 "amps": lambda key, value: value, "n": _to_int, "seed": _to_int}
+_KNOWN_KEYS = {
+    "experiment.id", "run.variant", "run.n", "run.tau_rule", "run.tau",
+    "run.seeds", "run.restarts", "run.measure_entanglement",
+    "run.metric", "run.denominator", "state.family", "state.members",
+    "output.csv", "output.summary",
+    *(f"state.{name}" for name in _STATE_PARAMS if name not in ("n", "seed")),
+}
+_MEMBER_KEY = re.compile(r"^state\.member(\d+)\.(weight|spec)$")
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """One parsed experiment: what to run, on which states, where to write."""
+
+    experiment_id: str
+    variant: str
+    n: int
+    tau: Optional[int]          # set for, and only for, run.tau_rule = explicit
+    seeds: Tuple[int, ...]
+    restarts: Optional[int]
+    measure_entanglement: bool
+    metric: str
+    denominator: str
+    state_family: str
+    family_params: Mapping[str, object]
+    members: Tuple[Tuple[float, str], ...]
+    output_csv: str
+    output_summary: str
+    raw: Mapping[str, str]
+
+
+def _parse_kv_text(text: str) -> Dict[str, str]:
+    out: Dict[str, str] = {}
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+        key, _, value = line.partition("=")
+        key, value = key.strip(), value.strip()
+        if not key:
+            raise ConfigError(f"line {lineno}: empty key")
+        if key in out:
+            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value
+    return out
+
+
+def _choice(kv: Mapping[str, str], key: str, choices: Sequence[str]) -> str:
+    """The key's value, one of choices; the first choice is the default."""
+    value = kv.get(key, choices[0])
+    if value not in choices:
+        raise ConfigError(f"{key} must be {' or '.join(choices)}, got {value!r}")
+    return value
+
+
+def _at_least(name: str, value: Optional[int], low: int) -> Optional[int]:
+    """The value, unless it is set and below low."""
+    if value is not None and value < low:
+        raise ConfigError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def _param_value(key: str, value: str, parse: Callable[[str, str], object]):
+    """A config parameter's value; a comma list of numbers sweeps it."""
+    if parse is not _to_float:
+        return parse(key, value)
+    # with no number in the list, parsing the whole value names the fault
+    vals = [parse(key, p) for p in value.split(",") if p.strip()] or [parse(key, value)]
+    return vals if len(vals) > 1 else vals[0]
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -235,34 +251,36 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("missing required key 'run.variant'")
     variant = kv["run.variant"].lower()
     if variant not in VARIANTS:
-        raise ConfigError(f"run.variant must be one of {VARIANTS}, got {variant!r}")
-    for key, readers in _VARIANT_KEYS.items():
-        if key in kv and variant not in readers:
-            raise ConfigError(f"{key} applies to {', '.join(readers)} only, "
+        raise ConfigError(f"run.variant must be one of {tuple(VARIANTS)}, "
+                          f"got {variant!r}")
+    takes = VARIANTS[variant].takes
+    for name in ("restarts", "measure_entanglement", "denominator"):
+        if f"run.{name}" in kv and name not in takes:
+            readers = [v for v, spec in VARIANTS.items() if name in spec.takes]
+            raise ConfigError(f"run.{name} applies to {', '.join(readers)} only, "
                               f"not run.variant = {variant}")
-    if variant in ("skw", "oskw"):
+    if "state" not in takes:
         for key in kv:
             if key.startswith("state."):
                 raise ConfigError(f"{key}: run.variant = {variant} builds its "
                                   "own start state")
     if "run.n" not in kv:
         raise ConfigError("missing required key 'run.n'")
-    n = _to_int("run.n", kv["run.n"])
-    if n < 2:
-        raise ConfigError(f"run.n must be >= 2, got {n}")
+    n = _at_least("run.n", _to_int("run.n", kv["run.n"]), 2)
+    if n > WALK_GUARD_N:
+        raise ConfigError(f"run.n must be <= {WALK_GUARD_N} (walk size guard), "
+                          f"got {n}")
 
-    tau_rule = kv.get("run.tau_rule", "optimal")
-    if tau_rule not in ("optimal", "explicit"):
-        raise ConfigError(f"run.tau_rule must be optimal or explicit, got {tau_rule!r}")
+    tau_rule = _choice(kv, "run.tau_rule", ("optimal", "explicit"))
     tau = _to_int("run.tau", kv["run.tau"]) if "run.tau" in kv else None
     if tau_rule == "explicit" and tau is None:
         raise ConfigError("run.tau_rule = explicit requires run.tau")
-    if tau is not None and tau < 0:
-        raise ConfigError(f"run.tau must be >= 0, got {tau}")
+    _at_least("run.tau", tau, 0)
+    if tau is not None and tau_rule != "explicit":
+        raise ConfigError("run.tau applies to run.tau_rule = explicit only, "
+                          f"not run.tau_rule = {tau_rule}")
 
     seeds = tuple(_to_int("run.seeds", s) for s in kv.get("run.seeds", "0").split(","))
-    if not seeds:
-        raise ConfigError("run.seeds must list at least one seed")
 
     family = kv.get("state.family", "uniform").lower()
     family = _FAMILY_NAMES.get(family, family)
@@ -270,15 +288,8 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"state.family must be one of {tuple(_FAMILIES)}, "
                           f"got {family!r}")
 
-    params: Dict[str, object] = {}
-    if "state.i" in kv:
-        params["i"] = _to_int("state.i", kv["state.i"])
-    for pkey, pname in (("state.t", "t"), ("state.alpha", "alpha"), ("state.s", "s")):
-        if pkey in kv:
-            vals = _float_list(pkey, kv[pkey])
-            params[pname] = vals if len(vals) > 1 else vals[0]
-    if "state.amps" in kv:
-        params["amps"] = kv["state.amps"]
+    params = {name: _param_value(f"state.{name}", kv[f"state.{name}"], parse)
+              for name, parse in _STATE_PARAMS.items() if f"state.{name}" in kv}
     _check_params(family, params)
     t_vals = params.get("t")
     if t_vals is not None:
@@ -305,24 +316,16 @@ def parse_config(text: str) -> ExperimentConfig:
     elif members or "state.members" in kv:
         raise ConfigError("state.member* keys require state.family = mixed_ensemble")
 
-    metric = kv.get("run.metric", "vertex")
-    if metric not in ("vertex", "gamma"):
-        raise ConfigError(f"run.metric must be vertex or gamma, got {metric!r}")
-    denominator = kv.get("run.denominator", "even-count")
-    if denominator not in ("even-count", "vertex-count"):
-        raise ConfigError("run.denominator must be even-count or vertex-count, "
-                          f"got {denominator!r}")
-
+    metric = _choice(kv, "run.metric", ("vertex", "gamma"))
+    denominator = _choice(kv, "run.denominator", ("even-count", "vertex-count"))
     restarts = (_to_int("run.restarts", kv["run.restarts"])
                 if "run.restarts" in kv else None)
-    if restarts is not None and restarts < 1:
-        raise ConfigError(f"run.restarts must be >= 1, got {restarts}")
+    _at_least("run.restarts", restarts, 1)
 
     return ExperimentConfig(
         experiment_id=exp_id,
         variant=variant,
         n=n,
-        tau_rule=tau_rule,
         tau=tau,
         seeds=seeds,
         restarts=restarts,
@@ -351,11 +354,7 @@ def load_config(path: str) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 # state specs (also the grammar for the `measures` subcommand)
 
-_SPEC_PARSERS = {"n": _to_int, "i": _to_int, "seed": _to_int, "alpha": _to_float,
-                 "t": _to_float, "s": _to_float, "amps": lambda key, value: value}
-
-
-def parse_state_spec(spec: str, default_seed: int = 0) -> NodeState:
+def parse_state_spec(spec: str, default_seed: int) -> NodeState:
     """Build a state from 'family:key=value,key=value'.
 
     Families: uniform:n=4; basis:n=3,i=5; haar:n=8,seed=7; ghz:n=3[,alpha=...];
@@ -381,7 +380,7 @@ def parse_state_spec(spec: str, default_seed: int = 0) -> NodeState:
                 key, _, value = part.partition("=")
                 kv[key.strip()] = value.strip()
     _check_params(family, kv)
-    values = {key: _SPEC_PARSERS[key](key, value) for key, value in kv.items()}
+    values = {key: _STATE_PARAMS[key](key, value) for key, value in kv.items()}
     return _build_state(family, values, default_seed)
 
 
@@ -431,17 +430,18 @@ def result_row(experiment_id: str, result: RunResult, seed: int) -> Dict[str, ob
 
 
 def _resolve_out(path: str) -> str:
-    if os.path.isabs(path):
-        return path
-    base = os.environ.get(OUT_ENV, "")
-    return os.path.join(base, path) if base else path
+    """The output path, under $QWSEARCH_OUT when relative; creates its parents."""
+    if not os.path.isabs(path):
+        base = os.environ.get(OUT_ENV, "")
+        path = os.path.join(base, path) if base else path
+    parent = os.path.dirname(path)
+    if parent:
+        os.makedirs(parent, exist_ok=True)
+    return path
 
 
 def write_csv_rows(path: str, rows: Sequence[Mapping[str, object]]) -> str:
     path = _resolve_out(path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     fresh = not os.path.exists(path) or os.path.getsize(path) == 0
     with open(path, "a", encoding="utf-8", newline="") as fh:
         if fresh:
@@ -451,25 +451,14 @@ def write_csv_rows(path: str, rows: Sequence[Mapping[str, object]]) -> str:
     return path
 
 
-def _deviation_bound(variant: str, n: int) -> float:
-    # calibrated O(1/sqrt(N)) constants: 3 for the plain walk's vertex
-    # count, 6 for the two-shift walk's
-    if variant in ("oskw", "oskw1"):
-        return 6.0 / math.sqrt(2.0 ** n)
-    return 3.0 / math.sqrt(2.0 ** n)
-
-
 def write_summary(path: str, config_echo: Mapping[str, str],
                   rows: Sequence[Mapping[str, object]],
                   extra: Mapping[str, object]) -> str:
     """Write the JSON summary; `extra` fields follow the standard ones."""
     path = _resolve_out(path)
-    parent = os.path.dirname(path)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
     devs = [row["abs_dev"] for row in rows]
-    bound = max(_deviation_bound(str(row["variant"]), int(row["n"]))
-                for row in rows) if rows else None
+    bound = max(VARIANTS[str(row["variant"])].envelope
+                / math.sqrt(2.0 ** int(row["n"])) for row in rows) if rows else None
     summary = {
         "schema_version": 1,
         "config": dict(config_echo),
@@ -492,33 +481,26 @@ def write_summary(path: str, config_echo: Mapping[str, str],
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _dispatch_run(cfg: ExperimentConfig, state, seed: int, plan) -> RunResult:
-    # skw and oskw build their own start state; skw1 alone takes mixtures
+def _run_one(cfg: ExperimentConfig, state, seed: int, plan) -> RunResult:
+    """One row through the variant table; a runner's ValueError is a config fault."""
+    variant = VARIANTS[cfg.variant]
+    # skw1 alone takes mixtures
     if isinstance(state, MixedEnsemble) and cfg.variant != "skw1":
         raise ConfigError(f"{cfg.variant} needs a pure state family")
-    if cfg.variant == "skw":
-        return run_skw(cfg.n, plan, metric=cfg.metric)
-    if cfg.variant == "skw1":
-        return run_skw1(state, plan, seed=seed,
-                        measure_entanglement=cfg.measure_entanglement,
-                        restarts=cfg.restarts, metric=cfg.metric)
-    if cfg.variant == "skw2":
-        return run_skw2(state, plan, cfg.restarts, seed, metric=cfg.metric)
-    if cfg.variant == "skw3":
-        return run_skw3(state, plan, metric=cfg.metric)
-    if cfg.variant == "oskw":
-        return run_oskw(cfg.n, plan, metric=cfg.metric)
-    if cfg.variant == "oskw1":
-        return run_oskw1(state, plan, seed=seed,
-                         measure_entanglement=cfg.measure_entanglement,
-                         restarts=cfg.restarts, metric=cfg.metric,
-                         denominator=cfg.denominator)
-    raise ConfigError(f"unknown variant {cfg.variant!r}")
+    inputs = {"n": cfg.n, "state": state, "seed": seed, "restarts": cfg.restarts,
+              "measure_entanglement": cfg.measure_entanglement,
+              "denominator": cfg.denominator}
+    try:
+        return variant.run(plan=plan, metric=cfg.metric,
+                           **{name: inputs[name] for name in variant.takes})
+    except ValueError as exc:
+        raise ConfigError(f"run.variant = {cfg.variant}: {exc}") from None
 
 
 def execute_config(cfg: ExperimentConfig) -> List[Dict[str, object]]:
     """All rows for one config, in deterministic config order."""
-    plan = IterationPlan.explicit(cfg.tau) if cfg.tau_rule == "explicit" else None
+    plan = None if cfg.tau is None else IterationPlan.explicit(cfg.tau)
+    needs_state = "state" in VARIANTS[cfg.variant].takes
     # _check_params leaves at most one list: no family takes two floats
     sweep_values = next((v for v in cfg.family_params.values()
                          if isinstance(v, list)), [None])
@@ -526,10 +508,8 @@ def execute_config(cfg: ExperimentConfig) -> List[Dict[str, object]]:
     rows = []
     for value in sweep_values:
         for seed in cfg.seeds:
-            state = None
-            if cfg.variant not in ("skw", "oskw"):
-                state = _config_state(cfg, seed, value)
-            result = _dispatch_run(cfg, state, seed, plan)
+            state = _config_state(cfg, seed, value) if needs_state else None
+            result = _run_one(cfg, state, seed, plan)
             rows.append(result_row(cfg.experiment_id, result, seed))
     return rows
 
@@ -548,12 +528,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    n = args.n
-    if n < 2:
-        raise ConfigError(f"--n must be >= 2, got {n}")
-    if args.samples < 2:
-        raise ConfigError(f"--samples must be >= 2, got {args.samples}")
-    _check_restarts(args.restarts)
+    n = _at_least("--n", args.n, 2)
+    _at_least("--samples", args.samples, 2)
+    _at_least("--restarts", args.restarts, 1)
     N = 1 << n
     rows: List[Dict[str, object]] = []
 
@@ -569,7 +546,6 @@ def _cmd_sweep(args) -> int:
         rows.append(result_row(f"fig4-skw3-{k:02d}", res, args.seed))
 
     out_dir = os.path.abspath(args.out or os.environ.get(OUT_ENV, "") or ".")
-    os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "sweep_fig4.csv")
     try:
         if os.path.exists(csv_path):
@@ -582,12 +558,9 @@ def _cmd_sweep(args) -> int:
     # measure cells after text round-trip
     worst = 0.0
     for row in rows:
-        report = ResourceReport(
-            f_c=float(_cell(row["f_c"])) if row["f_c"] is not None else None,
-            C_f=float(_cell(row["C_f"])) if row["C_f"] is not None else None,
-            E_g=float(_cell(row["E_g"])) if row["E_g"] is not None else None,
-        )
-        redone = predicted_probability(str(row["variant"]), report)
+        cells = {key: None if row[key] is None else float(_cell(row[key]))
+                 for key in ("f_c", "C_f", "E_g")}
+        redone = predicted_probability(str(row["variant"]), ResourceReport(**cells))
         worst = max(worst, abs(redone - float(_cell(row["p_pred"]))))
     echo = {"n": str(n), "samples": str(args.samples), "seed": str(args.seed)}
     summary_path = os.path.join(out_dir, "sweep_fig4_summary.json")
@@ -600,14 +573,9 @@ def _cmd_sweep(args) -> int:
     return 0
 
 
-def _check_restarts(restarts: Optional[int]) -> None:
-    if restarts is not None and restarts < 1:
-        raise ConfigError(f"--restarts must be >= 1, got {restarts}")
-
-
 def _cmd_measures(args) -> int:
-    _check_restarts(args.restarts)
-    state = parse_state_spec(args.spec, default_seed=args.seed)
+    _at_least("--restarts", args.restarts, 1)
+    state = parse_state_spec(args.spec, args.seed)
     report = groverian_entanglement(state, restarts=args.restarts, seed=args.seed)
     print(f"state: {args.spec}")
     print(f"f_c = {report.f_c!r}")
@@ -624,40 +592,8 @@ def _cmd_measures(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    checks: List[Tuple[str, bool, str]] = []
-    max_n = args.max_n
-    if max_n < 2:
-        raise ConfigError(f"--max-n must be >= 2, got {max_n}")
-
-    for n in range(2, min(max_n, IDENTITY_CHECK_GUARD_N) + 1):
-        res = verify_theorem_identities(n, trials=args.trials, seed=args.seed)
-        checks.append((f"measure identities n={n}", bool(res["all_passed"]),
-                       f"worst layer dev {res['worst_layer_dev']:.3g}, "
-                       f"worst enumeration dev {res['worst_pauli_dev']:.3g}"))
-
-    for n in range(2, min(max_n, DENSE_GUARD_N) + 1):
-        for variant, target in ((SKW, 1), (OSKW, 3)):
-            spec = WalkSpec(n=n, node_count=1 << n, target=target, variant=variant)
-            plan = IterationPlan.explicit(min(20, 4 * n))
-            start = compose_walker(uniform_coin(n),
-                                   make_random_node_state(n, args.seed))
-            free = evolve(start, spec, plan)
-            dense = evolve_dense(start, spec, plan)
-            dev = float(np.max(np.abs(free.amplitudes - dense.amplitudes)))
-            checks.append((f"dense agreement n={n} {variant}", dev <= 1e-12,
-                           f"max amplitude dev {dev:.3g}"))
-
-    for n in range(2, min(max_n, 6) + 1):
-        dev_s = xor_covariance_deviation(n, shift=(1 << n) - 1, target=0,
-                                         variant=SKW)
-        ok = dev_s <= 1e-12
-        detail = f"plain dev {dev_s:.3g}"
-        if n >= 3:
-            dev_o = xor_covariance_deviation(n, shift=3, target=0, variant=OSKW)
-            ok = ok and dev_o <= 1e-12
-            detail += f", two-shift dev {dev_o:.3g}"
-        checks.append((f"xor covariance n={n}", ok, detail))
-
+    _at_least("--max-n", args.max_n, 2)
+    checks = oracle_suite(args.max_n, args.trials, args.seed)
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
         print(f"{'PASS' if ok else 'FAIL'}  {name}  ({detail})")

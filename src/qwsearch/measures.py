@@ -78,7 +78,7 @@ class ResourceReport:
     E_g: Optional[float] = None
     E_g_overlap: Optional[float] = None
     restarts_used: Optional[int] = None
-    converged: Optional[bool] = None
+    converged: Optional[bool] = None   # the restart behind E_g_overlap
     sweeps: Optional[int] = None  # most sweeps any optimizer restart used
 
 
@@ -126,8 +126,8 @@ def _random_product(n: int, rng: np.random.Generator) -> List[np.ndarray]:
 
 def _hopm(state: NodeState, restarts: int,
           seed: int) -> Tuple[float, List[np.ndarray], bool, int]:
-    """Best squared product overlap Lambda^2, its factors, convergence, and
-    the most sweeps any restart used.
+    """Best squared product overlap Lambda^2, its factors, whether the
+    restart that found it converged, and the most sweeps any restart used.
 
     Each restart seeds its own generator from (seed, restart index), so the
     result is independent of any execution schedule. A sweep fixes every
@@ -172,7 +172,7 @@ def _hopm(state: NodeState, restarts: int,
             if live.size == 0:
                 break
     best = int(np.argmax(lam * lam))  # the first maximum, as a strict > scan
-    return (float(lam[best] * lam[best]), list(us[best]), bool(converged.all()),
+    return (float(lam[best] * lam[best]), list(us[best]), bool(converged[best]),
             int(sweeps.max()))
 
 

@@ -1,10 +1,12 @@
 """Independent brute-force verifiers.
 
 Everything here re-derives results through a second route: dense operator
-matrices assembled entry by entry (never the matrix-free kernels), an
-exhaustive Bloch-angle grid for the best product overlap, the exhaustive
-3^n Pauli-layer search, and standalone identity checks. Shared with the
-rest of the package are only data types, not operator-application code.
+matrices assembled entry by entry, an exhaustive Bloch-angle grid for the
+best product overlap, the exhaustive 3^n Pauli-layer search, and
+standalone identity checks; these share only data types with the engine.
+The forward walk `evolve` deliberately reuses the engine's grid kernels, one
+marked vertex at a time, to check the adjoint/XOR/Walsh assembly of
+`walk.target_probabilities`. `oracle_suite` is what `qwsearch verify` runs.
 """
 
 from __future__ import annotations
@@ -20,9 +22,59 @@ from .config import (DENSE_GUARD_N, GRID_GUARD_N, GRID_GUARD_RESOLUTION,
                      InvariantViolation)
 from .measures import (LocalLayer, best_pauli_basis, optimize_local_layer_detailed,
                        pauli_layer)
-from .states import NodeState, WalkerState, make_random_node_state
-from .walk import OSKW, SKW, IterationPlan, WalkSpec
+from .states import (NodeState, WalkerState, compose_walker,
+                     make_random_node_state, uniform_coin)
+from .walk import (OSKW, SKW, IterationPlan, WalkSpec, _check_norm, _grover,
+                   _marked_coin, _shift, _shift_index)
 
+
+# ---------------------------------------------------------------------------
+# forward walk, one marked vertex at a time
+
+def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan) -> WalkerState:
+    """Run the walk for the plan's step budget.
+
+    Plain variant: tau applications of V = S C. Optimized variant: each
+    application of V_opt = S (C0 x I) S C consumes two of the tau budgeted
+    shift rounds, so floor(tau/2) applications are performed; an odd
+    leftover round cannot form a complete query block and is dropped.
+
+    Norm is checked against CONSERVATION_TOL after every step.
+    """
+    if (state.n, state.node_count) != (spec.n, spec.node_count):
+        raise ValueError(f"state ({state.n}, {state.node_count}) does not match "
+                         f"spec ({spec.n}, {spec.node_count})")
+    index = _shift_index(spec.n, spec.node_count)
+    grid = state.grid()
+    steps = plan.tau if spec.variant == SKW else plan.tau // 2
+    for _ in range(steps):
+        grid = _shift(_marked_coin(grid, spec.target), index)
+        if spec.variant == OSKW:
+            grid = _shift(_grover(grid), index)
+        _check_norm(grid)
+    return WalkerState(spec.n, spec.node_count, grid.ravel())
+
+
+def success_probability(state: WalkerState, target: int,
+                        metric: str = "vertex") -> float:
+    """Probability of reading the marked vertex off the final walker.
+
+    metric="vertex" sums |amplitude|^2 over the coin at the target column
+    (measure the node register). metric="gamma" instead projects onto the
+    uniform-coin target state; it lower-bounds the vertex reading.
+    """
+    if not 0 <= target < state.node_count:
+        raise ValueError(f"target {target} out of range")
+    col = state.grid()[:, target]
+    if metric == "vertex":
+        return float(np.sum(np.abs(col) ** 2))
+    if metric == "gamma":
+        return float(abs(np.sum(col)) ** 2 / state.n)
+    raise ValueError(f"unknown metric {metric!r}")
+
+
+# ---------------------------------------------------------------------------
+# dense operators
 
 @dataclass(frozen=True)
 class DenseOperator:
@@ -53,7 +105,7 @@ def build_dense_evolution(spec: WalkSpec) -> DenseOperator:
 
 def _dense_evolution(spec: WalkSpec) -> DenseOperator:
     n, N = spec.n, spec.node_count
-    # the coins are built here on purpose; this module must not borrow kernels
+    # the coins are built here on purpose: the dense route borrows no kernels
     C0 = (2.0 / n) * np.ones((n, n), dtype=np.complex128) - np.eye(n)
     C1 = -np.eye(n, dtype=np.complex128)
     proj_tg = np.zeros((N, N), dtype=np.complex128)
@@ -295,3 +347,40 @@ def verify_theorem_identities(n: int, trials: int,
         "worst_pauli_dev": worst_pauli,
         "all_passed": bool(layer_passes == trials and pauli_passes == trials),
     }
+
+
+# ---------------------------------------------------------------------------
+# the verify suite
+
+def oracle_suite(max_n: int, trials: int,
+                 seed: int) -> List[Tuple[str, bool, str]]:
+    """(name, passed, detail) of each check up to max_n or its own size guard."""
+    checks: List[Tuple[str, bool, str]] = []
+    for n in range(2, min(max_n, IDENTITY_CHECK_GUARD_N) + 1):
+        res = verify_theorem_identities(n, trials=trials, seed=seed)
+        checks.append((f"measure identities n={n}", bool(res["all_passed"]),
+                       f"worst layer dev {res['worst_layer_dev']:.3g}, "
+                       f"worst enumeration dev {res['worst_pauli_dev']:.3g}"))
+
+    for n in range(2, min(max_n, DENSE_GUARD_N) + 1):
+        for variant, target in ((SKW, 1), (OSKW, 3)):
+            spec = WalkSpec(n=n, node_count=1 << n, target=target, variant=variant)
+            plan = IterationPlan.explicit(min(20, 4 * n))
+            start = compose_walker(uniform_coin(n), make_random_node_state(n, seed))
+            free = evolve(start, spec, plan)
+            dense = evolve_dense(start, spec, plan)
+            dev = float(np.max(np.abs(free.amplitudes - dense.amplitudes)))
+            checks.append((f"dense agreement n={n} {variant}", dev <= 1e-12,
+                           f"max amplitude dev {dev:.3g}"))
+
+    for n in range(2, min(max_n, 6) + 1):
+        dev_s = xor_covariance_deviation(n, shift=(1 << n) - 1, target=0,
+                                         variant=SKW)
+        ok = dev_s <= 1e-12
+        detail = f"plain dev {dev_s:.3g}"
+        if n >= 3:
+            dev_o = xor_covariance_deviation(n, shift=3, target=0, variant=OSKW)
+            ok = ok and dev_o <= 1e-12
+            detail += f", two-shift dev {dev_o:.3g}"
+        checks.append((f"xor covariance n={n}", ok, detail))
+    return checks

@@ -3,7 +3,7 @@
 Each runner takes the success probability for every admissible marked
 vertex from one call to the spectral engine (`walk.target_probabilities`)
 and reports the target average next to the closed-form prediction for
-that variant:
+that variant. Each variant's inputs and closed form live in `VARIANTS`:
 
     skw, skw1 -> f_c / 2         skw2 -> (1 - E_g^2) / 2
     skw3      -> (1 - C_f^2) / 2 oskw, oskw1 -> f_c (even subspace)
@@ -15,7 +15,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from .states import (MixedEnsemble, NodeState, StateLike, apply_local_layer,
 from .walk import (OSKW, SKW, IterationPlan, project_even_parity,
                    target_probabilities)
 
-VARIANTS = ("skw", "skw1", "skw2", "skw3", "oskw", "oskw1")
 # target-average divisor for an n-direction walk: all vertices, or the even ones
 _DENOMINATORS = {"vertex-count": lambda n: 1 << n,
                 "even-count": lambda n: 1 << (n - 1)}
@@ -72,32 +71,17 @@ class RunResult:
 
 def predicted_probability(variant: str, resource: ResourceReport) -> float:
     """Closed-form prediction from the resource report; no simulation."""
-    def need(value, name):
-        if value is None:
-            raise ValueError(f"variant {variant!r} needs resource field {name}")
-        return value
-
-    if variant in ("skw", "skw1"):
-        return need(resource.f_c, "f_c") / 2.0
-    if variant == "skw2":
-        e = need(resource.E_g, "E_g")
-        return (1.0 - e * e) / 2.0
-    if variant == "skw3":
-        c = need(resource.C_f, "C_f")
-        return (1.0 - c * c) / 2.0
-    if variant in ("oskw", "oskw1"):
-        return need(resource.f_c, "f_c")
-    raise ValueError(f"unknown variant {variant!r}; choose from {VARIANTS}")
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; choose from {tuple(VARIANTS)}")
+    spec = VARIANTS[variant]
+    value = getattr(resource, spec.measure)
+    if value is None:
+        raise ValueError(f"variant {variant!r} needs resource field {spec.measure}")
+    return spec.predict(value)
 
 
 # ---------------------------------------------------------------------------
 # shared machinery
-
-def _per_target_probs(node: NodeState, plan: IterationPlan, variant: str,
-                      targets: Sequence[int], metric: str) -> np.ndarray:
-    """Success probability for each marked vertex in `targets`."""
-    return target_probabilities(node, plan, variant, metric)[np.asarray(targets)]
-
 
 def _base_report(state: NodeState, entanglement: bool, restarts: Optional[int],
                  seed: int) -> ResourceReport:
@@ -142,11 +126,10 @@ def run_skw1(state: StateLike, plan: Optional[IterationPlan] = None, *,
     if isinstance(state, MixedEnsemble):
         probs = np.zeros(1 << n)
         for p_mu, member in state.members:
-            probs += p_mu * _per_target_probs(member, plan, SKW, targets,
-                                              metric)
+            probs += p_mu * target_probabilities(member, plan, SKW, metric)
         resource = ResourceReport(f_c=coherence_fraction(state), C_f=None)
     else:
-        probs = _per_target_probs(state, plan, SKW, targets, metric)
+        probs = target_probabilities(state, plan, SKW, metric)
         resource = _base_report(state, measure_entanglement, restarts, seed)
     return _finish("skw1", n, plan, targets, probs, resource, seed, t0,
                    metric=metric)
@@ -169,7 +152,7 @@ def run_skw2(state: NodeState, plan: Optional[IterationPlan] = None,
     layer, _, resource = optimize_local_layer_detailed(state, restarts, seed)
     transformed = apply_local_layer(state, layer)
     targets = range(1 << n)
-    probs = _per_target_probs(transformed, plan, SKW, targets, metric)
+    probs = target_probabilities(transformed, plan, SKW, metric)
     return _finish("skw2", n, plan, targets, probs, resource, seed, t0,
                    metric=metric)
 
@@ -192,7 +175,7 @@ def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
     transformed = apply_local_layer(apply_local_layer(state, layer),
                                     hadamard_layer(n))
     targets = range(1 << n)
-    probs = _per_target_probs(transformed, plan, SKW, targets, metric)
+    probs = target_probabilities(transformed, plan, SKW, metric)
     resource = ResourceReport(f_c=coherence_fraction(state),
                               C_f=fidelity_coherence(state))
     return _finish("skw3", n, plan, targets, probs, resource, 0, t0,
@@ -222,7 +205,7 @@ def run_oskw1(state: NodeState, plan: Optional[IterationPlan] = None, *,
     plan = plan or IterationPlan.oskw_optimal(1 << m)
     parities = np.bitwise_count(np.arange(1 << m)) & 1
     targets = np.nonzero(parities == 0)[0]
-    probs = _per_target_probs(projected, plan, OSKW, targets, metric)
+    probs = target_probabilities(projected, plan, OSKW, metric)[targets]
     # the input state's resources, but f_c on the even subspace walked
     resource = dataclasses.replace(
         _base_report(state, measure_entanglement, restarts, seed),
@@ -238,3 +221,30 @@ def run_oskw(n: int, plan: Optional[IterationPlan] = None, *,
     state = make_even_uniform_node_state(n + 1)
     return dataclasses.replace(run_oskw1(state, plan, metric=metric),
                                variant="oskw")
+
+
+class Variant(NamedTuple):
+    """A runner, the keywords it takes besides `plan` and `metric` (without
+    `state` it builds its own start state), the report field `predict`
+    reads, and the constant of the deviation bound envelope / sqrt(2^n)."""
+
+    run: Callable[..., RunResult]
+    takes: Tuple[str, ...]
+    measure: str
+    predict: Callable[[float], float]
+    envelope: float
+
+
+# calibrated O(1/sqrt(N)) envelopes: 3 for the plain walk's vertex count,
+# 6 for the two-shift walk's
+VARIANTS: Dict[str, Variant] = {
+    "skw": Variant(run_skw, ("n",), "f_c", lambda f_c: f_c / 2.0, 3.0),
+    "skw1": Variant(run_skw1, ("state", "seed", "measure_entanglement", "restarts"),
+                    "f_c", lambda f_c: f_c / 2.0, 3.0),
+    "skw2": Variant(run_skw2, ("state", "seed", "restarts"),
+                    "E_g", lambda e: (1.0 - e * e) / 2.0, 3.0),
+    "skw3": Variant(run_skw3, ("state",), "C_f", lambda c: (1.0 - c * c) / 2.0, 3.0),
+    "oskw": Variant(run_oskw, ("n",), "f_c", float, 6.0),
+    "oskw1": Variant(run_oskw1, ("state", "seed", "measure_entanglement", "restarts",
+                                 "denominator"), "f_c", float, 6.0),
+}

@@ -10,25 +10,24 @@ C0 is the Grover coin (2/n)J - I and C1 = -I, the fixed coins of the
 Shenvi-Kempe-Whaley search. No operator matrix is ever formed: the shift
 is a gather and C0 is twice the column mean minus the column.
 
-Two routes compute success probabilities. `evolve` runs the walk forward
-for one marked vertex and is the reference. `target_probabilities` serves
-every marked vertex at once: relabeling vertices by x -> x XOR t commutes
-with S and C0 and moves the mark from 0 to t, so one set of adjoint
-kernels with the mark at 0 gives all targets through Walsh-Hadamard
-transforms.
+`target_probabilities` serves every marked vertex at once: relabeling
+vertices by x -> x XOR t commutes with S and C0 and moves the mark from 0
+to t, so one set of adjoint kernels with the mark at 0 gives all targets
+through Walsh-Hadamard transforms. The forward walk for one marked vertex,
+`oracle.evolve`, is the reference it is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .config import (CONSERVATION_TOL, STRICT_TOL, WALK_GUARD_N,
                      InvariantViolation)
-from .states import NodeState, WalkerState
+from .states import NodeState
 
 SKW = "skw"
 OSKW = "oskw"
@@ -70,37 +69,27 @@ class WalkSpec:
 
 @dataclass(frozen=True)
 class IterationPlan:
-    """Step budget tau and the rule that produced it.
-
-    tau counts shift rounds. tau_real keeps the unrounded formula value so
-    reports can show both.
-    """
+    """Step budget tau, counted in shift rounds."""
 
     tau: int
-    tau_rule: str = "explicit"
-    tau_real: Optional[float] = None
 
     def __post_init__(self):
         if self.tau < 0:
             raise ValueError(f"tau must be non-negative, got {self.tau}")
-        if self.tau_rule not in ("explicit", "skw_optimal", "oskw_optimal"):
-            raise ValueError(f"unknown tau rule {self.tau_rule!r}")
 
     @classmethod
     def explicit(cls, tau: int) -> "IterationPlan":
-        return cls(tau=tau, tau_rule="explicit")
+        return cls(tau)
 
     @classmethod
     def skw_optimal(cls, n: int) -> "IterationPlan":
         """tau = round((pi/2) sqrt(2**(n-1))) for the plain walk on n directions."""
-        real = (math.pi / 2.0) * math.sqrt(2.0 ** (n - 1))
-        return cls(tau=round(real), tau_rule="skw_optimal", tau_real=real)
+        return cls(round((math.pi / 2.0) * math.sqrt(2.0 ** (n - 1))))
 
     @classmethod
     def oskw_optimal(cls, node_count: int) -> "IterationPlan":
         """tau = round((pi/(2 sqrt 2)) sqrt(node_count)) shift rounds."""
-        real = (math.pi / (2.0 * math.sqrt(2.0))) * math.sqrt(node_count)
-        return cls(tau=round(real), tau_rule="oskw_optimal", tau_real=real)
+        return cls(round((math.pi / (2.0 * math.sqrt(2.0))) * math.sqrt(node_count)))
 
 
 # ---------------------------------------------------------------------------
@@ -149,55 +138,6 @@ def _fwht(a: np.ndarray) -> np.ndarray:
     return a.reshape(*lead, N)
 
 
-# ---------------------------------------------------------------------------
-# elementary operators
-
-def apply_shift(state: WalkerState) -> WalkerState:
-    """Move amplitude (d, x) to (d, x XOR (1 << d)); an exact permutation."""
-    out = _shift(state.grid(), _shift_index(state.n, state.node_count))
-    return WalkerState(state.n, state.node_count, out.ravel())
-
-
-def apply_perturbed_coin(state: WalkerState, spec: WalkSpec) -> WalkerState:
-    """Grover coin on each vertex's coin vector, -I at the target."""
-    _check_dims(state, spec)
-    out = _marked_coin(state.grid(), spec.target)
-    return WalkerState(state.n, state.node_count, out.ravel())
-
-
-def _check_dims(state: WalkerState, spec: WalkSpec) -> None:
-    if state.n != spec.n or state.node_count != spec.node_count:
-        raise ValueError(
-            f"state ({state.n}, {state.node_count}) does not match "
-            f"spec ({spec.n}, {spec.node_count})"
-        )
-
-
-# ---------------------------------------------------------------------------
-# evolution
-
-def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan) -> WalkerState:
-    """Run the walk for the plan's step budget.
-
-    Plain variant: tau applications of V = S C. Optimized variant: each
-    application of V_opt = S (C0 x I) S C consumes two of the tau budgeted
-    shift rounds, so floor(tau/2) applications are performed; an odd
-    leftover round cannot form a complete query block and is dropped.
-
-    Norm is checked against CONSERVATION_TOL after every step.
-    """
-    _check_dims(state, spec)
-    index = _shift_index(spec.n, spec.node_count)
-    grid = state.grid()
-    steps = plan.tau if spec.variant == SKW else plan.tau // 2
-    for _ in range(steps):
-        grid = _shift(_marked_coin(grid, spec.target), index)
-        if spec.variant == OSKW:
-            grid = _shift(_grover(grid), index)
-        _check_norm(grid)
-    return WalkerState(spec.n, spec.node_count, grid.ravel())
-
-
 def _adjoint_kernels(spec: WalkSpec, plan: IterationPlan) -> np.ndarray:
     """K[d] = uniform coin . (V^dagger)^steps |d, mark>, shape (n, node_count), real.
 
@@ -227,9 +167,9 @@ def target_probabilities(state: NodeState, plan: IterationPlan, variant: str,
                          metric: str) -> np.ndarray:
     """Success probability for every marked vertex t, indexed by t.
 
-    The walk starts from the uniform coin (x) state, as in `evolve`. With
-    the mark at t the amplitude at (d, t) is sum_y K_d(y) psi(y XOR t), an
-    XOR convolution, so it equals H(H K_d . H psi) / N for the
+    The walk starts from the uniform coin (x) state, as in `oracle.evolve`.
+    With the mark at t the amplitude at (d, t) is sum_y K_d(y) psi(y XOR t),
+    an XOR convolution, so it equals H(H K_d . H psi) / N for the
     Walsh-Hadamard transform H. The vertex metric sums |amplitude|^2 over
     d; the gamma metric reads the single kernel sum_d K_d / sqrt(n). The
     two-shift walk is defined for even targets only; its odd entries carry
@@ -259,21 +199,3 @@ def project_even_parity(state: NodeState) -> Tuple[NodeState, float]:
         raise ValueError("state has no even-parity weight to project onto")
     projected = NodeState(state.n, kept / math.sqrt(kept_weight))
     return projected, max(leaked, 0.0)
-
-
-def success_probability(state: WalkerState, target: int,
-                        metric: str = "vertex") -> float:
-    """Probability of reading the marked vertex off the final walker.
-
-    metric="vertex" sums |amplitude|^2 over the coin at the target column
-    (measure the node register). metric="gamma" instead projects onto the
-    uniform-coin target state; it lower-bounds the vertex reading.
-    """
-    if not 0 <= target < state.node_count:
-        raise ValueError(f"target {target} out of range")
-    col = state.grid()[:, target]
-    if metric == "vertex":
-        return float(np.sum(np.abs(col) ** 2))
-    if metric == "gamma":
-        return float(abs(np.sum(col)) ** 2 / state.n)
-    raise ValueError(f"unknown metric {metric!r}")

@@ -215,6 +215,23 @@ output.summary = summary.json
      "run.measure_entanglement = false", "not run.variant = skw2"),
     ("experiment.id = demo\nrun.variant = oskw\nrun.n = 3\nrun.restarts = 4",
      "not run.variant = oskw"),
+    ("experiment.id = demo\nrun.variant = oskw1\nrun.n = 2",
+     "run.variant = oskw1: optimized walk needs at least 3 directions"),
+    ("experiment.id = demo\nrun.variant = oskw1\nrun.n = 4\nstate.family = w",
+     "run.variant = oskw1: state has no even-parity weight"),
+    ("experiment.id = demo\nrun.variant = skw\nrun.n = 21",
+     "run.n must be <= 20 (walk size guard), got 21"),
+    ("experiment.id = demo\nrun.variant = skw2\nrun.n = 21\n"
+     "state.family = haar_random", "run.n must be <= 20"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
+     "state.family = interpolated\nstate.t =", "state.t: expected a number, got ''"),
+    ("experiment.id = demo\nrun.variant = skw2\nrun.n = 4\n"
+     "state.family = ghz\nstate.alpha = ,", "state.alpha: expected a number, got ','"),
+    ("experiment.id = demo\nrun.variant = skw\nrun.n = 4\nrun.tau = 0",
+     "run.tau applies to run.tau_rule = explicit only, "
+     "not run.tau_rule = optimal"),
+    ("experiment.id = demo\nrun.variant = skw\nrun.n = 4\n"
+     "run.tau_rule = explicit", "run.tau_rule = explicit requires run.tau"),
 ])
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, text, fragment):
     monkeypatch.chdir(tmp_path)

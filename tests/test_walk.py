@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qwsearch import (OSKW, SKW, IterationPlan, WalkSpec,
-                      WalkerState, apply_perturbed_coin, apply_shift,
-                      build_dense_evolution, compose_walker,
+                      WalkerState, build_dense_evolution, compose_walker,
                       evolve, evolve_dense, make_basis_node_state,
                       make_uniform_node_state,
                       project_even_parity, success_probability,
                       target_probabilities, uniform_coin)
+from qwsearch import walk
 from qwsearch.config import WALK_GUARD_N
 
 
@@ -22,11 +22,22 @@ def _spec(n, target=0, variant=SKW):
     return WalkSpec(n=n, node_count=2 ** n, target=target, variant=variant)
 
 
+def _apply_shift(w):
+    """The engine's shift kernel on a walker."""
+    index = walk._shift_index(w.n, w.node_count)
+    return WalkerState(w.n, w.node_count, walk._shift(w.grid(), index).ravel())
+
+
+def _apply_coin(w, target):
+    """The engine's coin kernel on a walker: Grover coin, -I at the target."""
+    return WalkerState(w.n, w.node_count,
+                       walk._marked_coin(w.grid(), target).ravel())
+
+
 def _coin_operator(n, target):
-    """Matrix of apply_perturbed_coin, one basis walker per column."""
+    """Matrix of the coin kernel, one basis walker per column."""
     dim = n * 2 ** n
-    cols = [apply_perturbed_coin(WalkerState(n, 2 ** n, np.eye(dim)[k]),
-                                 _spec(n, target=target)).amplitudes
+    cols = [_apply_coin(WalkerState(n, 2 ** n, np.eye(dim)[k]), target).amplitudes
             for k in range(dim)]
     return np.array(cols).T
 
@@ -73,7 +84,7 @@ def test_iteration_plan_rules():
 def test_shift_moves_one_bit():
     w = compose_walker(np.array([1, 0, 0], dtype=np.complex128),
                        make_basis_node_state(3, 0b000))
-    out = apply_shift(w)
+    out = _apply_shift(w)
     g = out.grid()
     assert g[0, 0b001] == 1
     assert np.sum(np.abs(g) ** 2) == 1
@@ -86,13 +97,13 @@ def test_shift_is_involutive(seed, n):
     amps = rng.normal(size=n * 2 ** n) + 1j * rng.normal(size=n * 2 ** n)
     amps /= np.linalg.norm(amps)
     w = WalkerState(n, 2 ** n, amps)
-    back = apply_shift(apply_shift(w))
+    back = _apply_shift(_apply_shift(w))
     assert np.array_equal(back.amplitudes, w.amplitudes)
 
 
 def test_shift_fixes_uniform_walker():
     w = _uniform_walker(3)
-    out = apply_shift(w)
+    out = _apply_shift(w)
     assert np.allclose(out.amplitudes, w.amplitudes, atol=1e-15)
 
 
@@ -100,7 +111,7 @@ def test_perturbed_coin_away_from_target():
     # two directions: the unmarked coin swaps the direction amplitudes
     w = compose_walker(np.array([1, 0], dtype=np.complex128),
                        make_basis_node_state(2, 1))
-    out = apply_perturbed_coin(w, _spec(2, target=0))
+    out = _apply_coin(w, 0)
     g = out.grid()
     assert abs(g[1, 1] - 1) < 1e-15 and abs(g[0, 1]) < 1e-15
 
@@ -111,14 +122,14 @@ def test_perturbed_coin_at_target():
     amps[0 * 4 + 2] = alpha  # direction 0 at the marked vertex
     amps[1 * 4 + 2] = beta
     w = WalkerState(2, 4, amps)
-    g = apply_perturbed_coin(w, _spec(2, target=2)).grid()
+    g = _apply_coin(w, 2).grid()
     assert abs(g[0, 2] + alpha) < 1e-15 and abs(g[1, 2] + beta) < 1e-15
 
 
 def test_uniform_coin_is_grover_fixed_point():
     for n in (2, 3, 6):
         w = compose_walker(uniform_coin(n), make_basis_node_state(n, 1))
-        out = apply_perturbed_coin(w, _spec(n, target=0))
+        out = _apply_coin(w, 0)
         assert np.max(np.abs(out.amplitudes - w.amplitudes)) < 1e-14
 
 
