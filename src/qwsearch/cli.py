@@ -220,6 +220,15 @@ def _at_least(name: str, value: Optional[int], low: int) -> Optional[int]:
     return value
 
 
+def _cube_size(name: str, n: int) -> int:
+    """The walk size n, unless it is below 2 or past the walk size guard."""
+    _at_least(name, n, 2)
+    if n > WALK_GUARD_N:
+        raise ConfigError(f"{name} must be <= {WALK_GUARD_N} (walk size guard), "
+                          f"got {n}")
+    return n
+
+
 def _param_value(key: str, value: str, parse: Callable[[str, str], object]):
     """A config parameter's value; a comma list of numbers sweeps it."""
     if parse is not _to_float:
@@ -266,10 +275,7 @@ def parse_config(text: str) -> ExperimentConfig:
                                   "own start state")
     if "run.n" not in kv:
         raise ConfigError("missing required key 'run.n'")
-    n = _at_least("run.n", _to_int("run.n", kv["run.n"]), 2)
-    if n > WALK_GUARD_N:
-        raise ConfigError(f"run.n must be <= {WALK_GUARD_N} (walk size guard), "
-                          f"got {n}")
+    n = _cube_size("run.n", _to_int("run.n", kv["run.n"]))
 
     tau_rule = _choice(kv, "run.tau_rule", ("optimal", "explicit"))
     tau = _to_int("run.tau", kv["run.tau"]) if "run.tau" in kv else None
@@ -528,7 +534,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    n = _at_least("--n", args.n, 2)
+    n = _cube_size("--n", args.n)
     _at_least("--samples", args.samples, 2)
     _at_least("--restarts", args.restarts, 1)
     N = 1 << n
@@ -581,8 +587,8 @@ def _cmd_measures(args) -> int:
     print(f"f_c = {report.f_c!r}")
     print(f"C_f = {report.C_f!r}")
     print(f"E_g = {report.E_g!r} (best product overlap {report.E_g_overlap!r}, "
-          f"{'converged' if report.converged else 'NOT converged'}, "
-          f"{report.restarts_used} restarts, {report.sweeps} sweeps)")
+          f"reported restart {'converged' if report.converged else 'NOT converged'}; "
+          f"{report.restarts_used} restarts, at most {report.sweeps} sweeps)")
     print(json.dumps({
         "f_c": report.f_c, "C_f": report.C_f, "E_g": report.E_g,
         "E_g_overlap": report.E_g_overlap, "converged": report.converged,

@@ -116,12 +116,12 @@ def best_pauli_basis(state: NodeState) -> Tuple[int, float]:
 # ---------------------------------------------------------------------------
 # product-overlap maximization (alternating single-site updates)
 
-def _random_product(n: int, rng: np.random.Generator) -> List[np.ndarray]:
-    us = []
-    for _ in range(n):
-        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        us.append(v / np.linalg.norm(v))
-    return us
+def _random_product(n: int, rng: np.random.Generator) -> np.ndarray:
+    """n random unit qubit vectors, (n, 2), from one draw; its BLAS dot norms
+    match n draws normalized by np.linalg.norm one at a time, bit for bit."""
+    re, im = rng.standard_normal((n, 2, 2)).transpose(1, 0, 2)
+    sq = re[:, None] @ re[:, :, None] + im[:, None] @ im[:, :, None]
+    return (re + 1j * im) / np.sqrt(sq[:, 0])
 
 
 def _hopm(state: NodeState, restarts: int,
@@ -130,47 +130,50 @@ def _hopm(state: NodeState, restarts: int,
     restart that found it converged, and the most sweeps any restart used.
 
     Each restart seeds its own generator from (seed, restart index), so the
-    result is independent of any execution schedule. A sweep fixes every
-    factor but one, qubit 0 first; the optimal free factor is the normalized
-    partial contraction: the prefix L (psi contracted with this sweep's
-    factors, qubit j the low axis) against the suffix (x)_{q>j} conj(u_q) of
-    the old ones. The overlap is non-decreasing, so a restart leaves the
-    batch once its gain drops below OVERLAP_TOL. Restarts run in blocks whose
-    widest array (block x N/2 entries) stays under HOPM_BATCH_ENTRIES.
+    result is independent of any execution schedule. A sweep sets each factor
+    in turn, qubit 0 (psi's leading axis) first, to the normalized contraction
+    of psi with the new factors before it and the old ones after it. Live
+    restarts carry conjugated factors, written back once their gain drops
+    below OVERLAP_TOL. Blocks keep arrays under HOPM_BATCH_ENTRIES (block x
+    N/2 entries); products are per restart, so no bit depends on the block.
     """
     n = state.n
-    psi = state.amplitudes.reshape(1, -1, 2)
+    psi = state.amplitudes.reshape((2,) * n).T.reshape(1, 2, -1)
     us = np.array([_random_product(n, np.random.default_rng([seed, r]))
                    for r in range(restarts)])
-    lam = np.zeros(restarts)
+    lam, sweeps = np.zeros(restarts), np.zeros(restarts, dtype=np.int64)
     converged = np.zeros(restarts, dtype=bool)
-    sweeps = np.zeros(restarts, dtype=np.int64)
     block = max(1, HOPM_BATCH_ENTRIES // (state.dim // 2))
     for lo in range(0, restarts, block):
         live = np.arange(lo, min(lo + block, restarts))
+        cu, prev, m = np.conj(us[live]), np.zeros(live.size), 0
         for sweep in range(1, HOPM_SWEEP_CAP + 1):
-            u = us[live]
-            cu = np.conj(u)
-            suffix = [np.ones((live.size, 1), dtype=np.complex128)]
-            for j in range(n - 1, 0, -1):
-                suffix.append((suffix[-1][:, :, None] * cu[:, j, None, :])
-                              .reshape(live.size, -1))
+            if live.size != m:  # per live set: site vector, suffix slots and steps
+                m, v = live.size, np.empty((live.size, 2, 1), complex)
+                w = v.view(np.float64).reshape(m, 4)
+                suf = [np.ones((m, 1 << k), complex) for k in range(n - 1, -1, -1)]
+                steps = [(cu[:, j, :, None], suf[j][:, None], suf[j - 1].reshape(m, 2, -1))
+                         for j in range(n - 1, 0, -1)]
+            for step in steps:  # suffix j - 1 = cu_j (high axis) times suffix j
+                np.multiply(*step)
             prefix = psi
             for j in range(n):
                 if j:
-                    prefix = np.einsum('rxa,ra->rx', prefix, np.conj(u[:, j - 1])
-                                       ).reshape(live.size, -1, 2)
-                v = np.einsum('rxa,rx->ra', prefix, suffix.pop())
-                w = v.view(np.float64)
-                nv = np.sqrt(np.einsum('ri,ri->r', w, w))[:, None]
-                np.divide(v, nv, out=u[:, j], where=nv > 0.0)
-            us[live] = u
-            done = nv[:, 0] - lam[live] < OVERLAP_TOL
-            lam[live], sweeps[live] = nv[:, 0], sweep
-            converged[live[done]] = True
-            live = live[~done]
-            if live.size == 0:
-                break
+                    prefix = (cu[:, j - 1, None] @ prefix).reshape(m, 2, -1)
+                np.matmul(prefix, suf[j][:, :, None], out=v)
+                nv = np.sqrt(w[:, None] @ w[:, :, None])[:, 0]
+                np.divide(np.conj(v[:, :, 0]), nv, out=cu[:, j], where=nv > 0.0)
+            now = nv[:, 0]
+            done = now - prev < OVERLAP_TOL
+            leave = done | (sweep == HOPM_SWEEP_CAP)
+            if leave.any():
+                gone = live[leave]
+                us[gone], lam[gone], sweeps[gone] = np.conj(cu[leave]), now[leave], sweep
+                converged[live[done]] = True
+                live, cu, now = live[~leave], cu[~leave], now[~leave]
+                if live.size == 0:
+                    break
+            prev = now
     best = int(np.argmax(lam * lam))  # the first maximum, as a strict > scan
     return (float(lam[best] * lam[best]), list(us[best]), bool(converged[best]),
             int(sweeps.max()))
@@ -179,8 +182,7 @@ def _hopm(state: NodeState, restarts: int,
 def _entanglement(state: NodeState, restarts: Optional[int],
                   seed: int) -> Tuple[List[np.ndarray], ResourceReport]:
     """One maximizer run: the optimal product factors and the full report."""
-    if restarts is None:
-        restarts = HOPM_RESTARTS
+    restarts = HOPM_RESTARTS if restarts is None else restarts
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
     lam2, us, converged, sweeps = _hopm(state, restarts, seed)
@@ -218,11 +220,9 @@ def optimize_local_layer_detailed(
     us, report = _entanglement(state, restarts, seed)
     plus = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
     minus = np.array([1, -1], dtype=np.complex128) / math.sqrt(2)
-    factors = []
-    for u in us:
-        uperp = np.array([-np.conj(u[1]), np.conj(u[0])], dtype=np.complex128)
-        factors.append(np.outer(plus, np.conj(u)) + np.outer(minus, np.conj(uperp)))
-    layer = LocalLayer(tuple(factors))
+    # U_j = |+><u_j| + |-><u_j^perp| with u_j^perp = (-conj(u_j1), conj(u_j0))
+    layer = LocalLayer(tuple(np.outer(plus, np.conj(u)) + np.outer(minus, [-u[1], u[0]])
+                             for u in us))
     eta = make_uniform_node_state(state.n)
     achieved = float(abs(overlap(eta, apply_local_layer(state, layer))) ** 2)
     return layer, achieved, report

@@ -336,6 +336,15 @@ def test_measures_uniform(capsys):
     assert f"{payload['sweeps']} sweeps" in out
 
 
+def test_measures_line_describes_reported_restart(capsys):
+    # the reported restart converges; two other restarts run to the sweep cap
+    assert main(["measures", "haar:n=8,seed=15"]) == 0
+    out = capsys.readouterr().out
+    payload = json.loads(out.strip().splitlines()[-1])
+    assert (payload["converged"], payload["sweeps"]) == (True, 500)
+    assert "reported restart converged; 32 restarts, at most 500 sweeps)" in out
+
+
 def test_measures_ghz3(capsys):
     assert main(["measures", "ghz:n=3", "--seed", "1"]) == 0
     payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
@@ -424,6 +433,15 @@ def test_sweep_fig4_small(tmp_path, capsys):
     assert ids == sorted(ids)  # fig4-skw1-00 .. fig4-skw3-03
     summary = json.loads((out / "sweep_fig4_summary.json").read_text())
     assert summary["p_pred_recompute_max_dev"] <= 1e-12
+
+
+def test_sweep_fig4_past_walk_guard_exit_2(tmp_path, capsys):
+    out = tmp_path / "sweep"
+    assert main(["sweep-fig4", "--n", "21", "--samples", "2", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert "--n must be <= 20 (walk size guard), got 21" in captured.err
+    assert captured.out == ""
+    assert not out.exists()
 
 
 def test_sweep_fig4_overwrites(tmp_path, capsys):

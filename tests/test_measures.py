@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -227,6 +228,15 @@ def _reference_hopm(state, restarts, seed):
     return best_lam2, best_us, best_converged, most_sweeps
 
 
+def _reference_random_product(n, rng):
+    """Per-qubit starts: two draws of size 2 and one np.linalg.norm per qubit."""
+    us = []
+    for _ in range(n):
+        v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+        us.append(v / np.linalg.norm(v))
+    return us
+
+
 def _product_overlap(state, us):
     amps = np.ones(1, dtype=np.complex128)
     for u in us:
@@ -234,11 +244,20 @@ def _product_overlap(state, us):
     return abs(np.vdot(amps, state.amplitudes)) ** 2
 
 
+def _one_qubit(seed):
+    # a node register needs n >= 2, so one qubit goes to the maximizer bare
+    z = np.random.default_rng(seed).normal(size=(2, 2)) @ [1, 1j]
+    return SimpleNamespace(n=1, dim=2, amplitudes=z / np.linalg.norm(z))
+
+
 # (id, state, seed, unique optimum); GHZ at alpha = pi/4 and W have a family
 # of optimal factors, so the two routes may keep different members of it
 _ROUTE_CASES = (
-    [(f"haar-n{n}-s{s}", make_random_node_state(n, s), s, True)
-     for n in (4, 6, 8) for s in range(3)]
+    [(f"n1-s{s}", _one_qubit(s), s, True) for s in (0, 3)]
+    + [(f"haar-n{n}-s{s}", make_random_node_state(n, s), s, True)
+       for n in (2, 4, 6, 8) for s in range(3)]
+    + [("ghz-n2", make_ghz_node_state(2), 1, False),
+       ("product-n2", _product_state(2, 4), 2, True)]
     + [("ghz-n3", make_ghz_node_state(3), 1, False),
        ("w-n3", make_w_node_state(3), 1, False)]
     + [(f"fig4-ghz-n9-{k}", make_ghz_node_state(9, k * math.pi / 40), 0, True)
@@ -288,3 +307,35 @@ def test_batched_maximizer_blocks_change_nothing(monkeypatch, per_block):
     blocked = measures._hopm(state, 32, 1)
     assert blocked[0] == whole[0] and blocked[2:] == whole[2:]
     assert all(np.array_equal(a, b) for a, b in zip(blocked[1], whole[1]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_random_product_matches_per_qubit_draws(n):
+    for seed in range(20):
+        for r in range(32):
+            got = measures._random_product(n, np.random.default_rng([seed, r]))
+            ref = _reference_random_product(n, np.random.default_rng([seed, r]))
+            assert got.shape == (n, 2)
+            assert all(np.array_equal(a, b) for a, b in zip(got, ref))
+
+
+def test_batched_maximizer_zero_site_vector_keeps_factor(monkeypatch):
+    # every start has qubit 1 in |1>, orthogonal to the |000> state's qubit 1,
+    # so the first site vector is exactly zero and the guard keeps u_0
+    state = make_basis_node_state(3, 0)
+    tensor = state.amplitudes.reshape((2,) * 3)
+    draw = measures._random_product
+
+    def start(n, rng):
+        us = draw(n, rng)
+        us[1] = (0.0, 1.0)
+        return us
+
+    monkeypatch.setattr(measures, "_random_product", start)
+    first = start(3, np.random.default_rng([0, 0]))
+    assert not np.any(_contract_except(tensor, list(first), 3, 0))
+    lam2, us, converged, sweeps = measures._hopm(state, 4, 0)
+    ref_lam2, _, ref_converged, ref_sweeps = _reference_hopm(state, 4, 0)
+    assert np.all(np.isfinite(us))
+    assert abs(lam2 - 1.0) <= 1e-12 and abs(ref_lam2 - 1.0) <= 1e-12
+    assert (converged, sweeps) == (ref_converged, ref_sweeps)
