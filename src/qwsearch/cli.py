@@ -62,6 +62,8 @@ def _explicit_state(amps: str, n: Optional[int] = None) -> NodeState:
     if vec.size < 4 or vec.size & (vec.size - 1):
         raise ConfigError("explicit amplitudes need a power-of-two "
                           f"length >= 4, got {vec.size}")
+    if not np.isfinite(vec).all():
+        raise ConfigError(f"explicit amplitudes must be finite, got {amps!r}")
     norm = float(np.linalg.norm(vec))
     if norm <= 0:
         raise ConfigError("explicit amplitudes are all zero")
@@ -157,10 +159,9 @@ def _to_bool(key: str, value: str) -> bool:
 _STATE_PARAMS = {"i": _to_int, "t": _to_float, "alpha": _to_float, "s": _to_float,
                  "amps": lambda key, value: value, "n": _to_int, "seed": _to_int}
 _KNOWN_KEYS = {
-    "experiment.id", "run.variant", "run.n", "run.tau_rule", "run.tau",
-    "run.seeds", "run.restarts", "run.measure_entanglement",
-    "run.metric", "run.denominator", "state.family", "state.members",
-    "output.csv", "output.summary",
+    "experiment.id", "run.variant", "run.n", "run.tau", "run.seeds",
+    "run.restarts", "run.measure_entanglement", "run.metric", "state.family",
+    "state.members", "output.csv", "output.summary",
     *(f"state.{name}" for name in _STATE_PARAMS if name not in ("n", "seed")),
 }
 _MEMBER_KEY = re.compile(r"^state\.member(\d+)\.(weight|spec)$")
@@ -173,12 +174,11 @@ class ExperimentConfig:
     experiment_id: str
     variant: str
     n: int
-    tau: Optional[int]          # set for, and only for, run.tau_rule = explicit
+    tau: Optional[int]          # run.tau; None: the walk's optimal step count
     seeds: Tuple[int, ...]
     restarts: Optional[int]
     measure_entanglement: bool
     metric: str
-    denominator: str
     state_family: str
     family_params: Mapping[str, object]
     members: Tuple[Tuple[float, str], ...]
@@ -203,14 +203,6 @@ def _parse_kv_text(text: str) -> Dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def _choice(kv: Mapping[str, str], key: str, choices: Sequence[str]) -> str:
-    """The key's value, one of choices; the first choice is the default."""
-    value = kv.get(key, choices[0])
-    if value not in choices:
-        raise ConfigError(f"{key} must be {' or '.join(choices)}, got {value!r}")
-    return value
 
 
 def _at_least(name: str, value: Optional[int], low: int) -> Optional[int]:
@@ -263,7 +255,7 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError(f"run.variant must be one of {tuple(VARIANTS)}, "
                           f"got {variant!r}")
     takes = VARIANTS[variant].takes
-    for name in ("restarts", "measure_entanglement", "denominator"):
+    for name in ("restarts", "measure_entanglement"):
         if f"run.{name}" in kv and name not in takes:
             readers = [v for v, spec in VARIANTS.items() if name in spec.takes]
             raise ConfigError(f"run.{name} applies to {', '.join(readers)} only, "
@@ -277,16 +269,10 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ConfigError("missing required key 'run.n'")
     n = _cube_size("run.n", _to_int("run.n", kv["run.n"]))
 
-    tau_rule = _choice(kv, "run.tau_rule", ("optimal", "explicit"))
     tau = _to_int("run.tau", kv["run.tau"]) if "run.tau" in kv else None
-    if tau_rule == "explicit" and tau is None:
-        raise ConfigError("run.tau_rule = explicit requires run.tau")
     _at_least("run.tau", tau, 0)
-    if tau is not None and tau_rule != "explicit":
-        raise ConfigError("run.tau applies to run.tau_rule = explicit only, "
-                          f"not run.tau_rule = {tau_rule}")
-
-    seeds = tuple(_to_int("run.seeds", s) for s in kv.get("run.seeds", "0").split(","))
+    seeds = tuple(_at_least("run.seeds", _to_int("run.seeds", s), 0)
+                  for s in kv.get("run.seeds", "0").split(","))
 
     family = kv.get("state.family", "uniform").lower()
     family = _FAMILY_NAMES.get(family, family)
@@ -322,8 +308,9 @@ def parse_config(text: str) -> ExperimentConfig:
     elif members or "state.members" in kv:
         raise ConfigError("state.member* keys require state.family = mixed_ensemble")
 
-    metric = _choice(kv, "run.metric", ("vertex", "gamma"))
-    denominator = _choice(kv, "run.denominator", ("even-count", "vertex-count"))
+    metric = kv.get("run.metric", "vertex")
+    if metric not in ("vertex", "gamma"):
+        raise ConfigError(f"run.metric must be vertex or gamma, got {metric!r}")
     restarts = (_to_int("run.restarts", kv["run.restarts"])
                 if "run.restarts" in kv else None)
     _at_least("run.restarts", restarts, 1)
@@ -338,7 +325,6 @@ def parse_config(text: str) -> ExperimentConfig:
         measure_entanglement=_to_bool("run.measure_entanglement",
                                       kv.get("run.measure_entanglement", "false")),
         metric=metric,
-        denominator=denominator,
         state_family=family,
         family_params=params,
         members=tuple(member_list),
@@ -387,6 +373,8 @@ def parse_state_spec(spec: str, default_seed: int) -> NodeState:
                 kv[key.strip()] = value.strip()
     _check_params(family, kv)
     values = {key: _STATE_PARAMS[key](key, value) for key, value in kv.items()}
+    if values.get("n", 0) > WALK_GUARD_N:   # refused before 2^n amplitudes exist
+        _cube_size(f"{spec!r}: n", values["n"])
     return _build_state(family, values, default_seed)
 
 
@@ -494,8 +482,7 @@ def _run_one(cfg: ExperimentConfig, state, seed: int, plan) -> RunResult:
     if isinstance(state, MixedEnsemble) and cfg.variant != "skw1":
         raise ConfigError(f"{cfg.variant} needs a pure state family")
     inputs = {"n": cfg.n, "state": state, "seed": seed, "restarts": cfg.restarts,
-              "measure_entanglement": cfg.measure_entanglement,
-              "denominator": cfg.denominator}
+              "measure_entanglement": cfg.measure_entanglement}
     try:
         return variant.run(plan=plan, metric=cfg.metric,
                            **{name: inputs[name] for name in variant.takes})
@@ -537,6 +524,7 @@ def _cmd_sweep(args) -> int:
     n = _cube_size("--n", args.n)
     _at_least("--samples", args.samples, 2)
     _at_least("--restarts", args.restarts, 1)
+    _at_least("--seed", args.seed, 0)
     N = 1 << n
     rows: List[Dict[str, object]] = []
 
@@ -581,6 +569,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_measures(args) -> int:
     _at_least("--restarts", args.restarts, 1)
+    _at_least("--seed", args.seed, 0)
     state = parse_state_spec(args.spec, args.seed)
     report = groverian_entanglement(state, restarts=args.restarts, seed=args.seed)
     print(f"state: {args.spec}")
@@ -599,6 +588,8 @@ def _cmd_measures(args) -> int:
 
 def _cmd_verify(args) -> int:
     _at_least("--max-n", args.max_n, 2)
+    _at_least("--trials", args.trials, 1)
+    _at_least("--seed", args.seed, 0)
     checks = oracle_suite(args.max_n, args.trials, args.seed)
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:

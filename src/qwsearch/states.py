@@ -49,7 +49,7 @@ class NodeState:
                 f"expected {1 << self.n} amplitudes for n={self.n}, got {amps.shape[0]}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:   # NaN fails too
             raise ValueError(f"state not normalized: sum |a_x|^2 = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -71,10 +71,10 @@ class MixedEnsemble:
         ns = {s.n for _, s in members}
         if len(ns) != 1:
             raise ValueError(f"ensemble members disagree on n: {sorted(ns)}")
-        if any(p < 0 for p, _ in members):
+        if not all(p >= 0 for p, _ in members):   # NaN fails too
             raise ValueError("ensemble weights must be non-negative")
         total = sum(p for p, _ in members)
-        if abs(total - 1.0) > STRICT_TOL:
+        if not abs(total - 1.0) <= STRICT_TOL:
             raise ValueError(f"ensemble weights sum to {total!r}, not 1")
         object.__setattr__(self, "members", members)
 
@@ -103,7 +103,7 @@ class WalkerState:
                 f"expected {self.n * self.node_count} amplitudes, got {amps.shape[0]}"
             )
         norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if abs(norm_sq - 1.0) > NORM_TOL:
+        if not abs(norm_sq - 1.0) <= NORM_TOL:   # NaN fails too
             raise ValueError(f"walker not normalized: total = {norm_sq!r}")
         object.__setattr__(self, "amplitudes", amps)
 
@@ -145,11 +145,17 @@ def make_random_node_state(n: int, seed: int) -> NodeState:
     return NodeState(n, v / np.linalg.norm(v))
 
 
+def even_parity_mask(n: int) -> np.ndarray:
+    """Boolean mask over the 2**n vertices, True where the Hamming weight is even."""
+    even = np.ones(1, dtype=bool)
+    for _ in range(n):   # x + 2^k has the parity of x flipped, for x < 2^k
+        even = np.concatenate((even, ~even))
+    return even
+
+
 def make_even_uniform_node_state(n: int) -> NodeState:
     """Equal superposition over the even-Hamming-weight vertices."""
-    N = 1 << n
-    parity = np.bitwise_count(np.arange(N)) & 1
-    amps = np.where(parity == 0, 1.0, 0.0).astype(np.complex128)
+    amps = even_parity_mask(n).astype(np.complex128)
     return NodeState(n, amps / np.linalg.norm(amps))
 
 

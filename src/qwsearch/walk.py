@@ -27,7 +27,7 @@ import numpy as np
 
 from .config import (CONSERVATION_TOL, STRICT_TOL, WALK_GUARD_N,
                      InvariantViolation)
-from .states import NodeState
+from .states import NodeState, even_parity_mask
 
 SKW = "skw"
 OSKW = "oskw"
@@ -191,8 +191,7 @@ def project_even_parity(state: NodeState) -> Tuple[NodeState, float]:
     Returns the projected state and the discarded probability weight.
     Raises if the state has no even-parity support.
     """
-    parity = np.bitwise_count(np.arange(state.dim)) & 1
-    kept = np.where(parity == 0, state.amplitudes, 0.0)
+    kept = np.where(even_parity_mask(state.n), state.amplitudes, 0.0)
     kept_weight = float(np.sum(np.abs(kept) ** 2))
     leaked = 1.0 - kept_weight
     if kept_weight <= STRICT_TOL:

@@ -7,6 +7,7 @@ import re
 
 import pytest
 
+from qwsearch import cli
 from qwsearch.cli import CSV_COLUMNS, main, parse_config
 
 
@@ -106,7 +107,6 @@ def test_run_explicit_tau_and_gamma_metric(tmp_path, monkeypatch):
 experiment.id = tau7
 run.variant = skw1
 run.n = 4
-run.tau_rule = explicit
 run.tau = 7
 run.metric = gamma
 state.family = uniform
@@ -209,8 +209,8 @@ output.summary = summary.json
     ("experiment.id = demo\nrun.variant = skw3\nrun.n = 3\n"
      "state.family = basis\nrun.restarts = 5",
      "run.restarts applies to skw1, skw2, oskw1 only"),
-    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 3\n"
-     "run.denominator = vertex-count", "run.denominator applies to oskw1 only"),
+    ("experiment.id = demo\nrun.variant = oskw1\nrun.n = 3\n"
+     "run.denominator = vertex-count", "unknown key 'run.denominator'"),
     ("experiment.id = demo\nrun.variant = skw2\nrun.n = 3\n"
      "run.measure_entanglement = false", "not run.variant = skw2"),
     ("experiment.id = demo\nrun.variant = oskw\nrun.n = 3\nrun.restarts = 4",
@@ -227,11 +227,20 @@ output.summary = summary.json
      "state.family = interpolated\nstate.t =", "state.t: expected a number, got ''"),
     ("experiment.id = demo\nrun.variant = skw2\nrun.n = 4\n"
      "state.family = ghz\nstate.alpha = ,", "state.alpha: expected a number, got ','"),
-    ("experiment.id = demo\nrun.variant = skw\nrun.n = 4\nrun.tau = 0",
-     "run.tau applies to run.tau_rule = explicit only, "
-     "not run.tau_rule = optimal"),
     ("experiment.id = demo\nrun.variant = skw\nrun.n = 4\n"
-     "run.tau_rule = explicit", "run.tau_rule = explicit requires run.tau"),
+     "run.tau_rule = optimal", "unknown key 'run.tau_rule'"),
+    ("experiment.id = demo\nrun.variant = skw\nrun.n = 4\n"
+     "run.tau_rule = explicit\nrun.tau = 3", "unknown key 'run.tau_rule'"),
+    ("experiment.id = demo\nrun.variant = skw\nrun.n = 4\nrun.seeds = 0, -1",
+     "run.seeds must be >= 0, got -1"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 2\n"
+     "state.family = explicit_amplitudes\nstate.amps = nan, 0, 0, 1",
+     "explicit amplitudes must be finite"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 2\n"
+     "state.family = mixed_ensemble\nstate.members = 2\n"
+     "state.member1.weight = nan\nstate.member1.spec = uniform:n=2\n"
+     "state.member2.weight = 1\nstate.member2.spec = basis:n=2",
+     "bad mixed ensemble: ensemble weights must be non-negative"),
 ])
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, text, fragment):
     monkeypatch.chdir(tmp_path)
@@ -246,9 +255,8 @@ def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, text, fragment):
 def test_variant_keys_accepted_where_read():
     cfg = parse_config("experiment.id = demo\nrun.variant = oskw1\nrun.n = 4\n"
                        "run.restarts = 3\nrun.measure_entanglement = true\n"
-                       "run.denominator = vertex-count\nstate.family = uniform")
-    assert (cfg.restarts, cfg.measure_entanglement, cfg.denominator) == (
-        3, True, "vertex-count")
+                       "state.family = uniform")
+    assert (cfg.restarts, cfg.measure_entanglement) == (3, True)
     cfg = parse_config("experiment.id = demo\nrun.variant = skw\nrun.n = 4\n"
                        "run.seeds = 1, 2\nrun.metric = gamma")
     assert cfg.seeds == (1, 2) and cfg.metric == "gamma"
@@ -360,9 +368,33 @@ def test_measures_basis(capsys):
     assert payload["f_c"] == pytest.approx(1 / 16, abs=1e-15)
 
 
-def test_measures_bad_spec_exit_2(capsys):
-    assert main(["measures", "hologram:n=3"]) == 2
-    assert "config error" in capsys.readouterr().err
+@pytest.mark.parametrize("spec,fragment", [
+    ("hologram:n=3", "unknown state family"),
+    ("explicit:amps=nan,0,0,1", "explicit amplitudes must be finite"),
+])
+def test_measures_bad_spec_exit_2(capsys, spec, fragment):
+    assert main(["measures", spec]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("config error:") and fragment in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["measures", "haar:n=21"],
+    ["run", "mix.cfg"],
+])
+def test_spec_n_refused_before_the_state_is_built(tmp_path, monkeypatch, capsys,
+                                                  argv):
+    def never(**kwargs):
+        raise AssertionError("state built past the walk size guard")
+    family = cli._FAMILIES["haar_random"]
+    monkeypatch.setitem(cli._FAMILIES, "haar_random", family._replace(make=never))
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "mix.cfg", "experiment.id = demo\nrun.variant = skw1\n"
+           "run.n = 4\nstate.family = mixed_ensemble\nstate.members = 1\n"
+           "state.member1.weight = 1\nstate.member1.spec = haar:n=21\n")
+    assert main(argv) == 2
+    assert "n must be <= 20 (walk size guard), got 21" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec,fragment", [
@@ -378,13 +410,20 @@ def test_measures_param_outside_family_exit_2(capsys, spec, fragment):
 @pytest.mark.parametrize("argv", [
     ["measures", "uniform:n=4", "--restarts", "0"],
     ["sweep-fig4", "--n", "3", "--restarts", "-1"],
+    ["verify", "--trials", "0"],
+    ["verify", "--trials", "-1"],
+    ["verify", "--seed", "-1"],
+    ["measures", "uniform:n=4", "--seed", "-1"],
+    ["sweep-fig4", "--n", "3", "--seed", "-1"],
 ])
 def test_restarts_below_one_exit_2(tmp_path, monkeypatch, capsys, argv):
     monkeypatch.chdir(tmp_path)
     monkeypatch.delenv("QWSEARCH_OUT", raising=False)
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert "--restarts must be >= 1" in captured.err
+    flag, value = argv[-2:]
+    low = 0 if flag == "--seed" else 1
+    assert f"{flag} must be >= {low}, got {value}" in captured.err
     assert captured.out == ""
     assert list(tmp_path.iterdir()) == []
 
@@ -396,6 +435,9 @@ def test_readme_config_block_parses():
     cfg = parse_config(block)
     assert cfg.state_family == "interpolated"
     assert cfg.family_params == {"t": [0.0, 0.25, 0.5, 1.0]}
+    # every key the parser knows is shown, set or commented out
+    named = set(re.findall(r"^#?\s*([\w.]+)\s*=", block, re.M))
+    assert cli._KNOWN_KEYS <= named, sorted(cli._KNOWN_KEYS - named)
 
 
 def test_verify_passes(capsys):

@@ -187,16 +187,6 @@ def test_oskw1_rejects_odd_support_and_tiny_walks():
         run_oskw1(make_uniform_node_state(2))
 
 
-def test_oskw1_denominator_flag():
-    s = make_random_node_state(6, seed=8)
-    even = run_oskw1(s, denominator="even-count")
-    vertex = run_oskw1(s, denominator="vertex-count")
-    assert vertex.p_avg == pytest.approx(even.p_avg / 2, abs=1e-15)
-    assert vertex.leaked_weight == even.leaked_weight
-    with pytest.raises(ValueError):
-        run_oskw1(s, denominator="nope")
-
-
 def test_predicted_probability_table():
     rep = ResourceReport(f_c=1.0, C_f=None)
     assert predicted_probability("skw1", rep) == 0.5
@@ -227,22 +217,19 @@ def test_run_result_validation():
 
 
 def test_run_result_checks_parity_walk_average():
-    # even targets of a 3-direction walk; p_avg follows the declared divisor
+    # even targets of a 3-direction walk; p_avg is the mean over the targets
     rep = ResourceReport(f_c=0.5, C_f=0.5)
+
+    def make(per_target, p):
+        return RunResult(variant="oskw1", n=3, tau=2, per_target=per_target,
+                         p_avg=p, p_pred=0.5, abs_dev=abs(p - 0.5),
+                         resource=rep, seed=0, wall_ms=1.0, leaked_weight=0.1)
     per_target = ((0, 0.5), (3, 0.25), (5, 0.75), (6, 0.5))
-    for denominator, p_avg in (("even-count", 0.5), ("vertex-count", 0.25)):
-        def make(p):
-            return RunResult(variant="oskw1", n=3, tau=2, per_target=per_target,
-                             p_avg=p, p_pred=0.5, abs_dev=abs(p - 0.5),
-                             resource=rep, seed=0, wall_ms=1.0,
-                             leaked_weight=0.1, denominator=denominator)
-        assert make(p_avg).p_avg == p_avg
-        with pytest.raises(InvariantViolation):
-            make(p_avg + 1e-6)
-    with pytest.raises(ValueError):
-        RunResult(variant="oskw1", n=3, tau=2, per_target=per_target, p_avg=0.5,
-                  p_pred=0.5, abs_dev=0.0, resource=rep, seed=0, wall_ms=1.0,
-                  denominator="nope")
+    assert make(per_target, 0.5).p_avg == 0.5
+    with pytest.raises(InvariantViolation):
+        make(per_target, 0.5 + 1e-6)
+    with pytest.raises(ValueError, match="at least one target"):
+        make((), 0.5)
 
 
 @pytest.mark.parametrize("metric", ["vertex", "gamma"])
@@ -280,7 +267,7 @@ def test_engine_matches_forward_walk(n, variant, tau, metric):
     node = make_random_node_state(n, seed=100 + n)
     if variant == OSKW:
         node, _ = project_even_parity(node)
-        targets = np.nonzero((np.bitwise_count(np.arange(2 ** n)) & 1) == 0)[0]
+        targets = np.array([t for t in range(2 ** n) if t.bit_count() % 2 == 0])
         plan = IterationPlan.oskw_optimal(2 ** n)
     else:
         targets = np.arange(2 ** n)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qwsearch import (LocalLayer, MixedEnsemble, NodeState,
+from qwsearch import (LocalLayer, MixedEnsemble, NodeState, WalkerState,
                       apply_local_layer, compose_walker, hadamard_layer,
                       identity_layer,
                       make_basis_node_state, make_even_uniform_node_state,
@@ -12,6 +12,7 @@ from qwsearch import (LocalLayer, MixedEnsemble, NodeState,
                       make_random_node_state, make_tilted_node_state,
                       make_uniform_node_state, make_w_node_state, overlap,
                       pauli_layer, uniform_coin)
+from qwsearch.states import even_parity_mask
 
 
 def test_uniform_n2_amplitudes():
@@ -173,6 +174,20 @@ def test_mixed_ensemble_validation():
         MixedEnsemble(((0.5, eta), (0.5, make_basis_node_state(2, 0))))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constructors_reject_non_finite_input(bad):
+    amps = np.array([bad, 0, 0, 1], dtype=np.complex128)
+    with pytest.raises(ValueError, match="not normalized"):
+        NodeState(2, amps)
+    with pytest.raises(ValueError, match="not normalized"):
+        WalkerState(2, 2, amps)
+    eta = make_uniform_node_state(2)
+    with pytest.raises(ValueError):
+        MixedEnsemble(((bad, eta), (1.0, eta)))
+    with pytest.raises(ValueError):
+        MixedEnsemble(((1.0, eta), (-bad, eta)))
+
+
 def test_mixed_ensemble_weight_tolerance_from_config(monkeypatch):
     eta = make_uniform_node_state(3)
     b0 = make_basis_node_state(3, 0)
@@ -188,9 +203,15 @@ def test_mixed_ensemble_weight_tolerance_from_config(monkeypatch):
 
 def test_even_uniform_support_and_norm():
     s = make_even_uniform_node_state(5)
-    parity = np.bitwise_count(np.arange(32)) & 1
+    parity = np.array([x.bit_count() & 1 for x in range(32)])
     assert np.all(s.amplitudes[parity == 1] == 0)
     assert np.allclose(np.abs(s.amplitudes[parity == 0]), 0.25, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 10])
+def test_even_parity_mask_matches_bit_count(n):
+    assert even_parity_mask(n).tolist() == [x.bit_count() % 2 == 0
+                                            for x in range(2 ** n)]
 
 
 def test_ghz_w_and_family_states():

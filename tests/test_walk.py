@@ -160,7 +160,7 @@ def test_evolve_long_run_norm_drift():
 def test_project_even_parity_uniform():
     projected, leaked = project_even_parity(make_uniform_node_state(4))
     assert abs(leaked - 0.5) < 1e-12
-    parity = np.bitwise_count(np.arange(16)) & 1
+    parity = np.array([x.bit_count() & 1 for x in range(16)])
     assert np.all(projected.amplitudes[parity == 1] == 0)
     assert np.allclose(np.abs(projected.amplitudes[parity == 0]),
                        1 / math.sqrt(8), atol=1e-15)
@@ -247,7 +247,7 @@ def test_oskw_evolution_preserves_even_support():
     w = compose_walker(uniform_coin(n), node)
     spec = _spec(n, target=3, variant=OSKW)
     out = evolve(w, spec, IterationPlan.oskw_optimal(2 ** n))
-    parity = np.bitwise_count(np.arange(2 ** n)) & 1
+    parity = np.array([x.bit_count() & 1 for x in range(2 ** n)])
     g = out.grid()
     assert np.max(np.abs(g[:, parity == 1])) < 1e-14
 
