@@ -26,8 +26,8 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, List, Mapping, NamedTuple,
-                    Optional, Sequence, Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
+                    NamedTuple, Optional, Sequence, Tuple)
 
 import numpy as np
 
@@ -290,7 +290,13 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(f"state.t values must lie in [0, 1], got {t}")
 
     member_list: List[Tuple[float, str]] = []
+    measure_entanglement = _to_bool("run.measure_entanglement",
+                                    kv.get("run.measure_entanglement", "false"))
     if family == "mixed_ensemble":
+        if variant != "skw1":   # skw1 alone takes mixtures
+            raise ConfigError(f"{variant} needs a pure state family")
+        if measure_entanglement:
+            raise ConfigError("run.measure_entanglement needs a pure state family")
         count = _to_int("state.members", kv.get("state.members", "0"))
         if count < 1:
             raise ConfigError("mixed_ensemble needs state.members >= 1")
@@ -302,6 +308,10 @@ def parse_config(text: str) -> ExperimentConfig:
                 )
             member_list.append((_to_float(f"state.member{idx}.weight",
                                           entry["weight"]), entry["spec"]))
+            # refused before any state is built (explicit amps: once built)
+            spec_n = _parse_spec(entry["spec"])[1].get("n", n)
+            if spec_n != n:
+                raise ConfigError(f"state.member{idx}.spec has n={spec_n} but run.n = {n}")
         if members:
             raise ConfigError(f"member keys beyond state.members={count}: "
                               f"{sorted(members)}")
@@ -322,8 +332,7 @@ def parse_config(text: str) -> ExperimentConfig:
         tau=tau,
         seeds=seeds,
         restarts=restarts,
-        measure_entanglement=_to_bool("run.measure_entanglement",
-                                      kv.get("run.measure_entanglement", "false")),
+        measure_entanglement=measure_entanglement,
         metric=metric,
         state_family=family,
         family_params=params,
@@ -353,6 +362,11 @@ def parse_state_spec(spec: str, default_seed: int) -> NodeState:
     w:n=3; interpolated:n=8,t=0.5; tilted:n=8,s=0.9; even_uniform:n=9;
     explicit:amps=0.6,0,0,0.8j (normalized for you).
     """
+    return _build_state(*_parse_spec(spec), default_seed)
+
+
+def _parse_spec(spec: str) -> Tuple[str, Dict[str, object]]:
+    """A spec's family and typed values; n past the walk size guard is refused."""
     family, _, rest = spec.partition(":")
     family = _FAMILY_NAMES.get(family.strip().lower())
     if family is None or _FAMILIES[family].make is None:
@@ -373,9 +387,9 @@ def parse_state_spec(spec: str, default_seed: int) -> NodeState:
                 kv[key.strip()] = value.strip()
     _check_params(family, kv)
     values = {key: _STATE_PARAMS[key](key, value) for key, value in kv.items()}
-    if values.get("n", 0) > WALK_GUARD_N:   # refused before 2^n amplitudes exist
+    if values.get("n", 0) > WALK_GUARD_N:
         _cube_size(f"{spec!r}: n", values["n"])
-    return _build_state(family, values, default_seed)
+    return family, values
 
 
 def _config_state(cfg: ExperimentConfig, seed: int, sweep_value: Optional[float]):
@@ -475,17 +489,23 @@ def write_summary(path: str, config_echo: Mapping[str, str],
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_one(cfg: ExperimentConfig, state, seed: int, plan) -> RunResult:
-    """One row through the variant table; a runner's ValueError is a config fault."""
+def _run_rows(cfg: ExperimentConfig, states: Iterable, plan) -> Iterator[RunResult]:
+    """One sweep value's rows, in seed order: one call of the variant's
+    row-group runner if it has one, else one runner call per row as its state
+    arrives. A runner's ValueError is a config fault."""
     variant = VARIANTS[cfg.variant]
-    # skw1 alone takes mixtures
-    if isinstance(state, MixedEnsemble) and cfg.variant != "skw1":
-        raise ConfigError(f"{cfg.variant} needs a pure state family")
-    inputs = {"n": cfg.n, "state": state, "seed": seed, "restarts": cfg.restarts,
-              "measure_entanglement": cfg.measure_entanglement}
     try:
-        return variant.run(plan=plan, metric=cfg.metric,
-                           **{name: inputs[name] for name in variant.takes})
+        if variant.rows is not None:
+            yield from variant.rows(list(states), cfg.seeds, plan, cfg.restarts,
+                                    metric=cfg.metric)
+            return
+        for state, seed in zip(states, cfg.seeds):
+            inputs = {"n": cfg.n, "state": state, "seed": seed, "restarts": cfg.restarts,
+                      "measure_entanglement": cfg.measure_entanglement}
+            yield variant.run(plan=plan, metric=cfg.metric,
+                              **{name: inputs[name] for name in variant.takes})
+    except ConfigError:
+        raise
     except ValueError as exc:
         raise ConfigError(f"run.variant = {cfg.variant}: {exc}") from None
 
@@ -500,10 +520,10 @@ def execute_config(cfg: ExperimentConfig) -> List[Dict[str, object]]:
 
     rows = []
     for value in sweep_values:
-        for seed in cfg.seeds:
-            state = _config_state(cfg, seed, value) if needs_state else None
-            result = _run_one(cfg, state, seed, plan)
-            rows.append(result_row(cfg.experiment_id, result, seed))
+        states = (_config_state(cfg, seed, value) if needs_state else None
+                  for seed in cfg.seeds)
+        rows += [result_row(cfg.experiment_id, result, seed)
+                 for seed, result in zip(cfg.seeds, _run_rows(cfg, states, plan))]
     return rows
 
 

@@ -25,7 +25,7 @@ OVERLAP_TOL = 1e-12       # optimizer convergence threshold per sweep
 # optimizer
 HOPM_RESTARTS = 32
 HOPM_SWEEP_CAP = 500
-HOPM_BATCH_ENTRIES = 1 << 18  # restarts per block x 2^(n-1); a block holds >= 1
+HOPM_BATCH_ENTRIES = 1 << 18  # pool slots x 2^(n-1); a pool holds >= 1 slot
 # size guards
 PAULI_GUARD_N = 12          # 3^n layer enumeration
 DENSE_GUARD_N = 5           # dense operator dimension n * 2^n

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -124,77 +124,86 @@ def _random_product(n: int, rng: np.random.Generator) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(sq[:, 0])
 
 
-def _hopm(state: NodeState, restarts: int,
-          seed: int) -> Tuple[float, List[np.ndarray], bool, int]:
-    """Best squared product overlap Lambda^2, its factors, whether the
-    restart that found it converged, and the most sweeps any restart used.
+def _hopm(states: Sequence[NodeState], restarts: int,
+          seeds: Sequence[int]) -> List[Tuple[float, List[np.ndarray], bool, int]]:
+    """Per state (all of one n): best squared product overlap Lambda^2, its
+    factors, whether the restart that found it converged, and the most sweeps
+    any of its restarts used.
 
-    Each restart seeds its own generator from (seed, restart index), so the
-    result is independent of any execution schedule. A sweep sets each factor
-    in turn, qubit 0 (psi's leading axis) first, to the normalized contraction
-    of psi with the new factors before it and the old ones after it. Live
-    restarts carry conjugated factors, written back once their gain drops
-    below OVERLAP_TOL. Blocks keep arrays under HOPM_BATCH_ENTRIES (block x
-    N/2 entries); products are per restart, so no bit depends on the block.
+    Restart r of state i seeds its own generator from (seeds[i], r) and counts
+    its own sweeps, so no result depends on the schedule. A sweep sets each
+    factor in turn, qubit 0 (psi's leading axis) first, to the normalized
+    contraction of psi with the new factors before it and the old ones after
+    it. Live restarts carry conjugated factors in a pool of slots, written back
+    once their gain drops below OVERLAP_TOL or at HOPM_SWEEP_CAP; the slot then
+    takes the next pending restart, state-major. The pool holds two states'
+    restarts at most and slots x N/2 entries under HOPM_BATCH_ENTRIES;
+    products are per restart, so no bit depends on the pool.
     """
-    n = state.n
-    psi = state.amplitudes.reshape((2,) * n).T.reshape(1, 2, -1)
+    n, total = states[0].n, len(states) * restarts
+    psis = np.array([s.amplitudes.reshape((2,) * n).T.reshape(2, -1) for s in states])
     us = np.array([_random_product(n, np.random.default_rng([seed, r]))
-                   for r in range(restarts)])
-    lam, sweeps = np.zeros(restarts), np.zeros(restarts, dtype=np.int64)
-    converged = np.zeros(restarts, dtype=bool)
-    block = max(1, HOPM_BATCH_ENTRIES // (state.dim // 2))
-    for lo in range(0, restarts, block):
-        live = np.arange(lo, min(lo + block, restarts))
-        cu, prev, m = np.conj(us[live]), np.zeros(live.size), 0
-        for sweep in range(1, HOPM_SWEEP_CAP + 1):
-            if live.size != m:  # per live set: site vector, suffix slots and steps
-                m, v = live.size, np.empty((live.size, 2, 1), complex)
-                w = v.view(np.float64).reshape(m, 4)
-                suf = [np.ones((m, 1 << k), complex) for k in range(n - 1, -1, -1)]
-                steps = [(cu[:, j, :, None], suf[j][:, None], suf[j - 1].reshape(m, 2, -1))
-                         for j in range(n - 1, 0, -1)]
-            for step in steps:  # suffix j - 1 = cu_j (high axis) times suffix j
-                np.multiply(*step)
-            prefix = psi
-            for j in range(n):
-                if j:
-                    prefix = (cu[:, j - 1, None] @ prefix).reshape(m, 2, -1)
-                np.matmul(prefix, suf[j][:, :, None], out=v)
-                nv = np.sqrt(w[:, None] @ w[:, :, None])[:, 0]
-                np.divide(np.conj(v[:, :, 0]), nv, out=cu[:, j], where=nv > 0.0)
-            now = nv[:, 0]
-            done = now - prev < OVERLAP_TOL
-            leave = done | (sweep == HOPM_SWEEP_CAP)
+                   for seed in seeds for r in range(restarts)])
+    lam, sweeps, converged = np.zeros(total), np.zeros(total, int), np.zeros(total, bool)
+    pool = min(total, 2 * restarts, max(1, HOPM_BATCH_ENTRIES // (states[0].dim // 2)))
+    live, age, pending = np.arange(pool), np.zeros(pool, int), pool
+    # a row group's slots carry their own psi; one state's psi broadcasts
+    psi = psis[live // restarts] if len(states) > 1 else psis
+    cu, prev, m = np.conj(us[live]), np.zeros(pool), 0
+    while live.size:
+        if live.size != m:  # per live set: site vector, suffix slots and steps
+            m, v = live.size, np.empty((live.size, 2, 1), complex)
+            w = v.view(np.float64).reshape(m, 4)
+            suf = [np.ones((m, 1 << k), complex) for k in range(n - 1, -1, -1)]
+            steps = [(cu[:, j, :, None], suf[j][:, None], suf[j - 1].reshape(m, 2, -1))
+                     for j in range(n - 1, 0, -1)]
+        for step in steps:  # suffix j - 1 = cu_j (high axis) times suffix j
+            np.multiply(*step)
+        prefix = psi
+        for j in range(n):
+            if j:
+                prefix = (cu[:, j - 1, None] @ prefix).reshape(m, 2, -1)
+            np.matmul(prefix, suf[j][:, :, None], out=v)
+            nv = np.sqrt(w[:, None] @ w[:, :, None])[:, 0]
+            np.divide(np.conj(v[:, :, 0]), nv, out=cu[:, j], where=nv > 0.0)
+        age += 1  # sweeps each live restart has run
+        now = nv[:, 0]
+        done = now - prev < OVERLAP_TOL
+        leave = done | (age == HOPM_SWEEP_CAP)
+        if leave.any():
+            gone = live[leave]
+            us[gone], lam[gone], sweeps[gone] = np.conj(cu[leave]), now[leave], age[leave]
+            converged[live[done]] = True
+            if pending < total:  # freed slots take pending restarts in place
+                slot = np.nonzero(leave)[0][:total - pending]
+                new = live[slot] = np.arange(pending, pending + slot.size)
+                cu[slot], now[slot] = np.conj(us[new]), 0.0
+                age[slot], leave[slot] = 0, False
+                if psi is not psis:
+                    psi[slot] = psis[new // restarts]
+                pending += slot.size
             if leave.any():
-                gone = live[leave]
-                us[gone], lam[gone], sweeps[gone] = np.conj(cu[leave]), now[leave], sweep
-                converged[live[done]] = True
-                live, cu, now = live[~leave], cu[~leave], now[~leave]
-                if live.size == 0:
-                    break
-            prev = now
-    best = int(np.argmax(lam * lam))  # the first maximum, as a strict > scan
-    return (float(lam[best] * lam[best]), list(us[best]), bool(converged[best]),
-            int(sweeps.max()))
+                live, cu, now, age = (a[~leave] for a in (live, cu, now, age))
+                psi = psi if psi is psis else psi[~leave]
+        prev = now
+    # per state, the first maximum, as a strict > scan
+    best = (lam * lam).reshape(-1, restarts).argmax(axis=1) + np.arange(0, total, restarts)
+    return [(float(lam[b] * lam[b]), list(us[b]), bool(converged[b]), int(most))
+            for b, most in zip(best, sweeps.reshape(-1, restarts).max(axis=1))]
 
 
-def _entanglement(state: NodeState, restarts: Optional[int],
-                  seed: int) -> Tuple[List[np.ndarray], ResourceReport]:
-    """One maximizer run: the optimal product factors and the full report."""
+def _entanglement(states: Sequence[NodeState], restarts: Optional[int],
+                  seeds: Sequence[int]) -> List[Tuple[List[np.ndarray], ResourceReport]]:
+    """One maximizer pool: per state, the optimal product factors and the report."""
     restarts = HOPM_RESTARTS if restarts is None else restarts
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
-    lam2, us, converged, sweeps = _hopm(state, restarts, seed)
-    return us, ResourceReport(
-        f_c=coherence_fraction(state),
-        C_f=fidelity_coherence(state),
-        E_g=math.sqrt(max(0.0, 1.0 - lam2)),
-        E_g_overlap=lam2,
-        restarts_used=restarts,
-        converged=converged,
-        sweeps=sweeps,
-    )
+    found = _hopm(states, restarts, seeds)
+    return [(us, ResourceReport(
+        f_c=coherence_fraction(state), C_f=fidelity_coherence(state),
+        E_g=math.sqrt(max(0.0, 1.0 - lam2)), E_g_overlap=lam2,
+        restarts_used=restarts, converged=converged, sweeps=sweeps))
+        for state, (lam2, us, converged, sweeps) in zip(states, found)]
 
 
 def groverian_entanglement(state: NodeState, restarts: Optional[int] = None,
@@ -204,25 +213,28 @@ def groverian_entanglement(state: NodeState, restarts: Optional[int] = None,
     The returned E_g errs high only through an under-maximized overlap;
     f_c and C_f are exact.
     """
-    return _entanglement(state, restarts, seed)[1]
+    return _entanglement([state], restarts, [seed])[0][1]
+
+
+def optimize_local_layers(states: Sequence[NodeState], restarts: Optional[int],
+                          seeds: Sequence[int]) -> List[Tuple[LocalLayer, ResourceReport]]:
+    """Per state (all of one n, state i seeded by seeds[i]), the local layer
+    sending its optimal product factors |u_j> to |+>, which maximizes the
+    transformed state's coherence fraction, and the input state's resources."""
+    plus = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
+    minus = np.array([1, -1], dtype=np.complex128) / math.sqrt(2)
+    # U_j = |+><u_j| + |-><u_j^perp| with u_j^perp = (-conj(u_j1), conj(u_j0))
+    return [(LocalLayer(tuple(np.outer(plus, np.conj(u)) + np.outer(minus, [-u[1], u[0]])
+                              for u in us)), report)
+            for us, report in _entanglement(states, restarts, seeds)]
 
 
 def optimize_local_layer_detailed(
         state: NodeState, restarts: Optional[int] = None, seed: int = 0,
 ) -> Tuple[LocalLayer, float, ResourceReport]:
-    """Best local layer maximizing the transformed state's coherence fraction,
-    the value it achieves, and the resources of the input state.
-
-    Runs the product-overlap maximizer once, then builds U_j sending the
-    optimal factor |u_j> to |+>; the achieved value is recomputed end to end
-    as |<uniform| (x)U_j |psi>|^2 rather than echoed from the optimizer.
-    """
-    us, report = _entanglement(state, restarts, seed)
-    plus = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
-    minus = np.array([1, -1], dtype=np.complex128) / math.sqrt(2)
-    # U_j = |+><u_j| + |-><u_j^perp| with u_j^perp = (-conj(u_j1), conj(u_j0))
-    layer = LocalLayer(tuple(np.outer(plus, np.conj(u)) + np.outer(minus, [-u[1], u[0]])
-                             for u in us))
+    """One state's best local layer, the value it achieves (recomputed end to
+    end as |<uniform| (x)U_j |psi>|^2), and the resources of the input state."""
+    [(layer, report)] = optimize_local_layers([state], restarts, [seed])
     eta = make_uniform_node_state(state.n)
     achieved = float(abs(overlap(eta, apply_local_layer(state, layer))) ** 2)
     return layer, achieved, report

@@ -16,7 +16,7 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -24,7 +24,7 @@ from .config import InvariantViolation
 from .measures import (ResourceReport, best_pauli_basis, coherence_fraction,
                        even_coherence_fraction, fidelity_coherence,
                        groverian_entanglement, hadamard_layer,
-                       optimize_local_layer_detailed, pauli_layer)
+                       optimize_local_layers, pauli_layer)
 from .states import (MixedEnsemble, NodeState, StateLike, apply_local_layer,
                      even_parity_mask, make_even_uniform_node_state,
                      make_uniform_node_state)
@@ -140,14 +140,26 @@ def run_skw(n: int, plan: Optional[IterationPlan] = None, *,
         run_skw1(make_uniform_node_state(n), plan, metric=metric), variant="skw")
 
 
+def run_skw2_rows(states: Sequence[NodeState], seeds: Sequence[int],
+                  plan: Optional[IterationPlan] = None, restarts: Optional[int] = None,
+                  *, metric: str = "vertex") -> List[RunResult]:
+    """run_skw2 on states of one n, sharing one optimizer pool; a row's wall_ms
+    is its own layer and walk plus an equal share of the pool's time."""
+    t0 = time.perf_counter()
+    optimized = optimize_local_layers(states, restarts, seeds)
+    share, results = (time.perf_counter() - t0) / len(states), []
+    for state, seed, (layer, resource) in zip(states, seeds, optimized):
+        t0 = time.perf_counter() - share
+        results.append(_walk_and_average("skw2", SKW, apply_local_layer(state, layer),
+                                         resource, plan, metric, seed, t0))
+    return results
+
+
 def run_skw2(state: NodeState, plan: Optional[IterationPlan] = None,
              restarts: Optional[int] = None, seed: int = 0, *,
              metric: str = "vertex") -> RunResult:
     """Best local-unitary layer first, then the walk; prediction (1 - E_g^2)/2."""
-    t0 = time.perf_counter()
-    layer, _, resource = optimize_local_layer_detailed(state, restarts, seed)
-    return _walk_and_average("skw2", SKW, apply_local_layer(state, layer),
-                             resource, plan, metric, seed, t0)
+    return run_skw2_rows([state], [seed], plan, restarts, metric=metric)[0]
 
 
 def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
@@ -204,13 +216,15 @@ def run_oskw(n: int, plan: Optional[IterationPlan] = None, *,
 class Variant(NamedTuple):
     """A runner, the keywords it takes besides `plan` and `metric` (without
     `state` it builds its own start state), the report field `predict`
-    reads, and the constant of the deviation bound envelope / sqrt(2^n)."""
+    reads, the constant of the deviation bound envelope / sqrt(2^n), and
+    the runner that takes a row group's states and seeds at once, if any."""
 
     run: Callable[..., RunResult]
     takes: Tuple[str, ...]
     measure: str
     predict: Callable[[float], float]
     envelope: float
+    rows: Optional[Callable[..., List[RunResult]]] = None
 
 
 # calibrated O(1/sqrt(N)) envelopes: 3 for the plain walk's vertex count,
@@ -220,7 +234,7 @@ VARIANTS: Dict[str, Variant] = {
     "skw1": Variant(run_skw1, ("state", "seed", "measure_entanglement", "restarts"),
                     "f_c", lambda f_c: f_c / 2.0, 3.0),
     "skw2": Variant(run_skw2, ("state", "seed", "restarts"),
-                    "E_g", lambda e: (1.0 - e * e) / 2.0, 3.0),
+                    "E_g", lambda e: (1.0 - e * e) / 2.0, 3.0, run_skw2_rows),
     "skw3": Variant(run_skw3, ("state",), "C_f", lambda c: (1.0 - c * c) / 2.0, 3.0),
     "oskw": Variant(run_oskw, ("n",), "f_c", float, 6.0),
     "oskw1": Variant(run_oskw1, ("state", "seed", "measure_entanglement", "restarts"),

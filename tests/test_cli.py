@@ -241,6 +241,14 @@ output.summary = summary.json
      "state.member1.weight = nan\nstate.member1.spec = uniform:n=2\n"
      "state.member2.weight = 1\nstate.member2.spec = basis:n=2",
      "bad mixed ensemble: ensemble weights must be non-negative"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
+     "run.measure_entanglement = true\nstate.family = mixed_ensemble\n"
+     "state.members = 1\nstate.member1.weight = 1\nstate.member1.spec = ghz:n=4",
+     "run.measure_entanglement needs a pure state family"),
+    ("experiment.id = demo\nrun.variant = skw1\nrun.n = 4\n"
+     "state.family = mixed_ensemble\nstate.members = 1\n"
+     "state.member1.weight = 1\nstate.member1.spec = explicit:amps=1,0,0,1",
+     "state.member1.spec has n=2 but run.n = 4"),
 ])
 def test_config_errors_exit_2(tmp_path, monkeypatch, capsys, text, fragment):
     monkeypatch.chdir(tmp_path)
@@ -395,6 +403,20 @@ def test_spec_n_refused_before_the_state_is_built(tmp_path, monkeypatch, capsys,
            "state.member1.weight = 1\nstate.member1.spec = haar:n=21\n")
     assert main(argv) == 2
     assert "n must be <= 20 (walk size guard), got 21" in capsys.readouterr().err
+
+
+def test_member_n_refused_before_any_member_is_built(tmp_path, monkeypatch, capsys):
+    def never(**kwargs):
+        raise AssertionError("member built before its n was checked")
+    for name in ("uniform", "haar_random"):
+        monkeypatch.setitem(cli._FAMILIES, name, cli._FAMILIES[name]._replace(make=never))
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path / "mix.cfg", "experiment.id = demo\nrun.variant = skw1\n"
+                 "run.n = 4\nstate.family = mixed_ensemble\nstate.members = 2\n"
+                 "state.member1.weight = 1\nstate.member1.spec = uniform:n=4\n"
+                 "state.member2.weight = 1\nstate.member2.spec = haar:n=18\n")
+    assert main(["run", cfg]) == 2
+    assert "state.member2.spec has n=18 but run.n = 4" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("spec,fragment", [

@@ -47,3 +47,29 @@ def test_readme_variant_table_matches_registry():
     section = readme.split("## Variants", 1)[1].split("\n## ", 1)[0]
     listed = re.findall(r"^\| `(\w+)` *\|", section, flags=re.MULTILINE)
     assert listed == list(VARIANTS)
+
+
+# numpy 2 names with no numpy 1 spelling; the package supports numpy >= 1.24
+_NUMPY2_ONLY = ("bitwise_count", "vecdot", "matvec", "vecmat", "matrix_transpose",
+                "permute_dims", "unstack", "concat", "cumulative_sum",
+                "cumulative_prod", "isdtype", "astype", "pow", "acos", "asin",
+                "atan", "atan2")
+_NUMPY2_CALL = re.compile(r"\bnp\.(%s)\b" % "|".join(_NUMPY2_ONLY))
+
+
+def test_sources_use_no_numpy2_only_names():
+    found = [f"{path.name}:{lineno}: np.{m.group(1)}"
+             for path in sorted(SRC.glob("*.py"))
+             for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+             for m in _NUMPY2_CALL.finditer(line)]
+    assert found == []
+
+
+@pytest.mark.parametrize("line,hit", [
+    ("x = np.concat([a, b])", "concat"), ("y = np.atan2(a, b)", "atan2"),
+    ("z = np.concatenate([a, b])", None), ("w = a.astype(float)", None),
+    ("v = np.power(a, 2)", None), ("u = np.arctan2(a, b)", None),
+])
+def test_numpy2_guard_sees_only_numpy2_names(line, hit):
+    m = _NUMPY2_CALL.search(line)
+    assert (m.group(1) if m else None) == hit

@@ -267,7 +267,7 @@ _ROUTE_CASES = (
 @pytest.mark.parametrize("state,seed,unique", [c[1:] for c in _ROUTE_CASES],
                          ids=[c[0] for c in _ROUTE_CASES])
 def test_batched_maximizer_matches_reference_loop(state, seed, unique):
-    lam2, us, converged, sweeps = measures._hopm(state, 32, seed)
+    lam2, us, converged, sweeps = measures._hopm([state], 32, [seed])[0]
     ref_lam2, ref_us, ref_converged, ref_sweeps = _reference_hopm(state, 32, seed)
     assert abs(lam2 - ref_lam2) <= 1e-12
     assert (converged, sweeps) == (ref_converged, ref_sweeps)
@@ -281,7 +281,7 @@ def test_batched_maximizer_matches_reference_loop(state, seed, unique):
 def test_batched_maximizer_sweep_cap(monkeypatch):
     monkeypatch.setattr(measures, "HOPM_SWEEP_CAP", 2)
     state = make_random_node_state(6, 0)
-    lam2, _, converged, sweeps = measures._hopm(state, 8, 0)
+    lam2, _, converged, sweeps = measures._hopm([state], 8, [0])[0]
     ref_lam2, _, ref_converged, ref_sweeps = _reference_hopm(state, 8, 0)
     assert abs(lam2 - ref_lam2) <= 1e-12
     assert converged is False and ref_converged is False
@@ -299,14 +299,76 @@ def test_converged_describes_the_reported_restart():
     assert fewer.sweeps < measures.HOPM_SWEEP_CAP
 
 
-@pytest.mark.parametrize("per_block", [1, 5])
+def _bitwise_equal(got, want):
+    """Two maximizer results agree in Lambda^2, factors, converged and sweeps."""
+    assert got[0] == want[0] and got[2:] == want[2:]
+    assert len(got[1]) == len(want[1])
+    assert all(np.array_equal(a, b) for a, b in zip(got[1], want[1]))
+
+
+@pytest.mark.parametrize("per_block", [1, 5, 10 ** 6])
 def test_batched_maximizer_blocks_change_nothing(monkeypatch, per_block):
+    # one state's 32 restarts, then six states of 5 restarts sharing a pool
+    # of 1 or 5 slots, or of the two-state ceiling 10 when the guard allows more
     state = make_random_node_state(8, 1)
-    whole = measures._hopm(state, 32, 1)
+    group, seeds = [make_random_node_state(6, s) for s in range(6)], [0, 1, 2, 3, 4, 5]
+    whole = measures._hopm([state], 32, [1])[0]
+    alone = [measures._hopm([s], 5, [seed])[0] for s, seed in zip(group, seeds)]
     monkeypatch.setattr(measures, "HOPM_BATCH_ENTRIES", per_block * state.dim // 2)
-    blocked = measures._hopm(state, 32, 1)
-    assert blocked[0] == whole[0] and blocked[2:] == whole[2:]
-    assert all(np.array_equal(a, b) for a, b in zip(blocked[1], whole[1]))
+    blocked = measures._hopm([state], 32, [1])[0]
+    _bitwise_equal(blocked, whole)
+    monkeypatch.setattr(measures, "HOPM_BATCH_ENTRIES", per_block * group[0].dim // 2)
+    for got, want in zip(measures._hopm(group, 5, seeds), alone):
+        _bitwise_equal(got, want)
+
+
+# (id, states, seeds, restarts): row groups the pool must split back into
+# exactly what one-state calls give
+_GROUP_CASES = (
+    [("haar-n8-x12", [make_random_node_state(8, s) for s in range(12)],
+      list(range(12)), 32)]
+    + [(f"haar-n{n}-r{r}", [make_random_node_state(n, s) for s in range(4)],
+        [3, 1, 4, 1], r) for n in (2, 6) for r in (1, 5, 32)]
+    + [("n1-bare", [_one_qubit(s) for s in range(3)], [0, 3, 7], 5)])
+
+
+@pytest.mark.parametrize("states,seeds,restarts", [c[1:] for c in _GROUP_CASES],
+                         ids=[c[0] for c in _GROUP_CASES])
+def test_row_group_matches_one_state_calls(states, seeds, restarts):
+    group = measures._hopm(states, restarts, seeds)
+    assert len(group) == len(states)
+    for state, seed, got in zip(states, seeds, group):
+        _bitwise_equal(got, measures._hopm([state], restarts, [seed])[0])
+
+
+@pytest.mark.parametrize("cap", [None, 2])
+def test_pool_keeps_per_restart_caps_and_counts(monkeypatch, cap):
+    # haar n=8 seed 15 has one restart that runs into the 500-sweep cap;
+    # the fast states around it must keep their own counts
+    if cap is not None:
+        monkeypatch.setattr(measures, "HOPM_SWEEP_CAP", cap)
+    states = [make_random_node_state(8, s) for s in (0, 15, 1, 2)]
+    seeds = [0, 15, 1, 2]
+    group = measures._hopm(states, 32, seeds)
+    for state, seed, got in zip(states, seeds, group):
+        _bitwise_equal(got, measures._hopm([state], 32, [seed])[0])
+    sweeps = [got[3] for got in group]
+    if cap is None:
+        assert sweeps[1] == measures.HOPM_SWEEP_CAP and group[1][2] is True
+        assert max(sweeps[:1] + sweeps[2:]) < measures.HOPM_SWEEP_CAP
+    else:
+        assert sweeps == [2, 2, 2, 2] and not any(got[2] for got in group)
+
+
+def test_optimize_local_layers_matches_the_one_state_route():
+    states = [make_random_node_state(5, s) for s in range(3)]
+    for state, seed, (layer, report) in zip(
+            states, [2, 0, 9], measures.optimize_local_layers(states, 6, [2, 0, 9])):
+        one_layer, achieved, one_report = optimize_local_layer_detailed(state, 6, seed)
+        assert report == one_report
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(layer.factors, one_layer.factors))
+        assert abs(achieved - report.E_g_overlap) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 5, 9])
@@ -334,7 +396,7 @@ def test_batched_maximizer_zero_site_vector_keeps_factor(monkeypatch):
     monkeypatch.setattr(measures, "_random_product", start)
     first = start(3, np.random.default_rng([0, 0]))
     assert not np.any(_contract_except(tensor, list(first), 3, 0))
-    lam2, us, converged, sweeps = measures._hopm(state, 4, 0)
+    lam2, us, converged, sweeps = measures._hopm([state], 4, [0])[0]
     ref_lam2, _, ref_converged, ref_sweeps = _reference_hopm(state, 4, 0)
     assert np.all(np.isfinite(us))
     assert abs(lam2 - 1.0) <= 1e-12 and abs(ref_lam2 - 1.0) <= 1e-12

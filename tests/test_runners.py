@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qwsearch import (OSKW, SKW, InvariantViolation, IterationPlan,
                       run_oskw1, run_skw, run_skw1, run_skw2, run_skw3,
                       success_probability, target_probabilities,
                       uniform_coin)
+from qwsearch.cli import _cell, execute_config, parse_config, result_row
+from qwsearch.runners import VARIANTS, run_skw2_rows
 
 BOUND_N8 = 3 / math.sqrt(2 ** 8)
 
@@ -120,6 +123,31 @@ def test_skw2_dominates_skw1():
         r1 = run_skw1(s)
         r2 = run_skw2(s, seed=seed)
         assert r2.p_pred >= r1.p_pred - 1e-12
+
+
+def test_skw2_config_rows_match_one_row_calls():
+    seeds = list(range(12))
+    cfg = parse_config("experiment.id = group\nrun.variant = skw2\nrun.n = 8\n"
+                       f"run.seeds = {', '.join(map(str, seeds))}\n"
+                       "state.family = haar_random")
+    assert VARIANTS["skw2"].rows is run_skw2_rows
+    rows = execute_config(cfg)
+    assert len(rows) == len(seeds)
+    for seed, row in zip(seeds, rows):
+        one = result_row("group", run_skw2(make_random_node_state(8, seed), seed=seed),
+                         seed)
+        assert ({k: _cell(v) for k, v in row.items() if k != "wall_ms"}
+                == {k: _cell(v) for k, v in one.items() if k != "wall_ms"})
+
+
+def test_skw2_rows_share_the_optimizer_time():
+    states = [make_random_node_state(6, s) for s in range(5)]
+    t0 = time.perf_counter()
+    results = run_skw2_rows(states, [0, 1, 2, 3, 4], restarts=4)
+    elapsed_ms = (time.perf_counter() - t0) * 1e3
+    assert [r.seed for r in results] == [0, 1, 2, 3, 4]
+    assert all(r.wall_ms > 0.0 for r in results)
+    assert sum(r.wall_ms for r in results) <= elapsed_ms
 
 
 def test_skw3_basis_state_half_rate():
