@@ -9,7 +9,7 @@ import argparse
 import math
 import time
 
-from qwsearch import make_random_node_state, run_skw1
+from qwsearch import make_random_node_state, prepare_skw1, walk_rows
 
 
 def main() -> int:
@@ -26,8 +26,10 @@ def main() -> int:
           f"{'bound':>10} {'wall_s':>7}")
     for n in range(args.min_n, args.max_n + 1):
         t0 = time.perf_counter()
-        devs = [run_skw1(make_random_node_state(n, args.seed + k)).abs_dev
+        # one row group per n: every sample walks on one kernel build
+        rows = [prepare_skw1(make_random_node_state(n, args.seed + k))
                 for k in range(args.samples)]
+        devs = [res.abs_dev for res in walk_rows(rows)]
         wall = time.perf_counter() - t0
         bound = 3 / math.sqrt(2 ** n)
         print(f"{n:>3} {args.samples:>7} {max(devs):>10.6f} "

@@ -23,8 +23,10 @@ from .measures import (LocalLayer, ResourceReport, best_pauli_basis,
                        fidelity_coherence, groverian_entanglement,
                        hadamard_layer, identity_layer,
                        optimize_local_layer_detailed, pauli_layer)
-from .runners import (RunResult, predicted_probability, run_oskw, run_oskw1,
-                      run_skw, run_skw1, run_skw2, run_skw3)
+from .runners import (PreparedRow, RunResult, predicted_probability,
+                      prepare_oskw1, prepare_skw1, prepare_skw2_rows,
+                      prepare_skw3, run_oskw, run_oskw1, run_skw, run_skw1,
+                      run_skw2, run_skw2_rows, run_skw3, walk_rows)
 from .oracle import (DenseOperator, build_dense_evolution,
                      enumerate_pauli_layers, evolve, evolve_dense,
                      grid_product_overlap, success_probability,
@@ -45,8 +47,10 @@ __all__ = [
     "enumerate_pauli_layers", "even_coherence_fraction", "fidelity_coherence",
     "groverian_entanglement", "hadamard_layer", "identity_layer",
     "optimize_local_layer_detailed", "pauli_layer",
-    "RunResult", "predicted_probability", "run_oskw", "run_oskw1", "run_skw",
-    "run_skw1", "run_skw2", "run_skw3",
+    "PreparedRow", "RunResult", "predicted_probability", "prepare_oskw1",
+    "prepare_skw1", "prepare_skw2_rows", "prepare_skw3", "run_oskw",
+    "run_oskw1", "run_skw", "run_skw1", "run_skw2", "run_skw2_rows",
+    "run_skw3", "walk_rows",
     "DenseOperator", "build_dense_evolution", "evolve", "evolve_dense",
     "grid_product_overlap", "success_probability",
     "verify_theorem_identities", "xor_covariance_deviation",

@@ -34,8 +34,8 @@ import numpy as np
 from .config import WALK_GUARD_N, InvariantViolation
 from .measures import ResourceReport, groverian_entanglement
 from .oracle import oracle_suite
-from .runners import (VARIANTS, RunResult, predicted_probability, run_skw1,
-                      run_skw2, run_skw3)
+from .runners import (VARIANTS, RunResult, predicted_probability, prepare_skw1,
+                      prepare_skw2_rows, prepare_skw3, walk_rows)
 from .states import (MixedEnsemble, NodeState, make_basis_node_state,
                      make_even_uniform_node_state, make_ghz_node_state,
                      make_interpolated_node_state, make_random_node_state,
@@ -545,19 +545,16 @@ def _cmd_sweep(args) -> int:
     _at_least("--samples", args.samples, 2)
     _at_least("--restarts", args.restarts, 1)
     _at_least("--seed", args.seed, 0)
-    N = 1 << n
-    rows: List[Dict[str, object]] = []
-
-    for k, t in enumerate(np.linspace(0.0, 1.0, args.samples)):
-        res = run_skw1(make_interpolated_node_state(n, float(t)), seed=args.seed)
-        rows.append(result_row(f"fig4-skw1-{k:02d}", res, args.seed))
-    for k, alpha in enumerate(np.linspace(0.0, math.pi / 4.0, args.samples)):
-        res = run_skw2(make_ghz_node_state(n, float(alpha)),
-                       restarts=args.restarts, seed=args.seed)
-        rows.append(result_row(f"fig4-skw2-{k:02d}", res, args.seed))
-    for k, s in enumerate(np.linspace(1.0 / N, 1.0, args.samples)):
-        res = run_skw3(make_tilted_node_state(n, float(s)))
-        rows.append(result_row(f"fig4-skw3-{k:02d}", res, args.seed))
+    # all rows walk as one group on one kernel build; each GHZ state gets its own optimizer
+    prepared = [prepare_skw1(make_interpolated_node_state(n, float(t)), seed=args.seed)
+                for t in np.linspace(0.0, 1.0, args.samples)]
+    for alpha in np.linspace(0.0, math.pi / 4.0, args.samples):
+        prepared += prepare_skw2_rows([make_ghz_node_state(n, float(alpha))],
+                                      [args.seed], args.restarts)
+    prepared += [prepare_skw3(make_tilted_node_state(n, float(s)))
+                 for s in np.linspace(1.0 / (1 << n), 1.0, args.samples)]
+    rows = [result_row(f"fig4-{res.variant}-{k % args.samples:02d}", res, args.seed)
+            for k, res in enumerate(walk_rows(prepared))]
 
     out_dir = os.path.abspath(args.out or os.environ.get(OUT_ENV, "") or ".")
     csv_path = os.path.join(out_dir, "sweep_fig4.csv")

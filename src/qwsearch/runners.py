@@ -1,9 +1,9 @@
 """End-to-end search runs for every algorithm variant.
 
-Each runner prepares only the state it walks and its resource report;
-one shared body takes the success probability for every admissible marked
-vertex from the spectral engine (`walk.target_probabilities`) and reports
-the target average next to the closed-form prediction for that variant.
+Each variant's prepare step makes a row: the state it walks and its
+resource report. One shared body, `walk_rows`, walks a group of rows of one
+n on one kernel build of the spectral engine (`walk.target_probabilities`)
+and reports each row's target average next to its closed-form prediction.
 Each variant's inputs and closed form live in `VARIANTS`:
 
     skw, skw1 -> f_c / 2         skw2 -> (1 - E_g^2) / 2
@@ -16,7 +16,8 @@ import dataclasses
 import math
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -79,58 +80,79 @@ def predicted_probability(variant: str, resource: ResourceReport) -> float:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _base_report(state: StateLike, entanglement: bool, restarts: Optional[int],
-                 seed: int) -> ResourceReport:
-    if isinstance(state, MixedEnsemble):
-        return ResourceReport(f_c=coherence_fraction(state), C_f=None)
-    if entanglement:
-        return groverian_entanglement(state, restarts, seed)
-    return ResourceReport(f_c=coherence_fraction(state),
-                          C_f=fidelity_coherence(state))
+class PreparedRow(NamedTuple):
+    """A row before its walk; prep_s is the seconds its preparation took."""
+
+    variant: str
+    walk: str
+    walked: StateLike
+    resource: ResourceReport
+    seed: int
+    prep_s: float
+    leaked: Optional[float] = None
 
 
-def _walk_and_average(variant: str, walk: str, walked: StateLike,
-                      resource: ResourceReport, plan: Optional[IterationPlan],
-                      metric: str, seed: int, t0: float,
-                      leaked: Optional[float] = None) -> RunResult:
-    """Average over the targets the walk admits: every vertex for the plain
-    walk, the even ones for the two-shift walk. No plan means the optimal
-    one; a mixture's per-target probabilities are its members' weighted sum."""
-    n = walked.n
-    if walk == SKW:
-        plan = plan or IterationPlan.skw_optimal(n)
-        targets = np.arange(1 << n)
-    else:
-        plan = plan or IterationPlan.oskw_optimal(1 << n)
-        targets = np.nonzero(even_parity_mask(n))[0]
-    members = (walked.members if isinstance(walked, MixedEnsemble)
-               else ((1.0, walked),))
-    probs = sum(p_mu * target_probabilities(member, plan, walk, metric)
-                for p_mu, member in members)[targets].tolist()
-    # exactly rounded, so RunResult's recomputed mean agrees at every n
-    p_avg = math.fsum(probs) / len(probs)
-    p_pred = predicted_probability(variant, resource)
-    return RunResult(
-        variant=variant, n=n, tau=plan.tau,
-        per_target=tuple(zip(targets.tolist(), probs)),
-        p_avg=p_avg, p_pred=float(p_pred),
-        abs_dev=float(abs(p_avg - p_pred)), resource=resource, seed=seed,
-        wall_ms=(time.perf_counter() - t0) * 1e3, leaked_weight=leaked,
-        metric=metric,
-    )
+def walk_rows(rows: Sequence[PreparedRow], plan: Optional[IterationPlan] = None,
+              metric: str = "vertex") -> Iterator[RunResult]:
+    """Walk a row group, rows of one n and one walk, on one kernel build.
+
+    Lazy, so a caller need not hold every row's per_target: checks and walk
+    run at the first result. Each row averages over the targets the walk
+    admits: every vertex for the plain walk, the even ones for the two-shift
+    walk. No plan means the optimal one; a mixture row walks each member and
+    weights their results. A row's wall_ms is its preparation, its own
+    assembly and an equal share of the group's walk call per state it walks."""
+    if not rows or any((r.walked.n, r.walk) != (rows[0].walked.n, rows[0].walk)
+                       for r in rows):
+        raise ValueError("a row group needs rows, all of one n and one walk")
+    n, walk = rows[0].walked.n, rows[0].walk
+    plan = plan or (IterationPlan.skw_optimal(n) if walk == SKW
+                    else IterationPlan.oskw_optimal(1 << n))
+    targets = np.arange(1 << n) if walk == SKW else np.nonzero(even_parity_mask(n))[0]
+    members = [r.walked.members if isinstance(r.walked, MixedEnsemble)
+               else ((1.0, r.walked),) for r in rows]
+    t0 = time.perf_counter()
+    table = iter(target_probabilities([m for ms in members for _, m in ms],
+                                      plan, walk, metric))
+    per_state = (time.perf_counter() - t0) / sum(map(len, members))
+    for row, ms in zip(rows, members):
+        t0 = time.perf_counter() - row.prep_s - per_state * len(ms)
+        probs = sum(p_mu * next(table) for p_mu, _ in ms)[targets].tolist()
+        # exactly rounded, so RunResult's recomputed mean agrees at every n
+        p_avg = math.fsum(probs) / len(probs)
+        p_pred = predicted_probability(row.variant, row.resource)
+        yield RunResult(
+            variant=row.variant, n=n, tau=plan.tau, p_avg=p_avg,
+            per_target=tuple(zip(targets.tolist(), probs)), p_pred=float(p_pred),
+            abs_dev=float(abs(p_avg - p_pred)), resource=row.resource,
+            seed=row.seed, wall_ms=(time.perf_counter() - t0) * 1e3,
+            leaked_weight=row.leaked, metric=metric)
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: prepare_* makes a row, run_* walks it alone
+
+def prepare_skw1(state: StateLike, seed: int = 0, measure_entanglement: bool = False,
+                 restarts: Optional[int] = None) -> PreparedRow:
+    """The state as supplied, with its resources; a mixture reports f_c only."""
+    t0 = time.perf_counter()
+    if isinstance(state, MixedEnsemble):
+        resource = ResourceReport(f_c=coherence_fraction(state), C_f=None)
+    elif measure_entanglement:
+        resource = groverian_entanglement(state, restarts, seed)
+    else:
+        resource = ResourceReport(f_c=coherence_fraction(state),
+                                  C_f=fidelity_coherence(state))
+    return PreparedRow("skw1", SKW, state, resource, seed, time.perf_counter() - t0)
+
 
 def run_skw1(state: StateLike, plan: Optional[IterationPlan] = None, *,
              seed: int = 0, measure_entanglement: bool = False,
              restarts: Optional[int] = None,
              metric: str = "vertex") -> RunResult:
     """Walk the state as supplied, or each mixture member; prediction f_c / 2."""
-    t0 = time.perf_counter()
-    resource = _base_report(state, measure_entanglement, restarts, seed)
-    return _walk_and_average("skw1", SKW, state, resource, plan, metric, seed, t0)
+    return next(walk_rows([prepare_skw1(state, seed, measure_entanglement, restarts)],
+                          plan, metric))
 
 
 def run_skw(n: int, plan: Optional[IterationPlan] = None, *,
@@ -140,19 +162,25 @@ def run_skw(n: int, plan: Optional[IterationPlan] = None, *,
         run_skw1(make_uniform_node_state(n), plan, metric=metric), variant="skw")
 
 
+def prepare_skw2_rows(states: Sequence[NodeState], seeds: Sequence[int],
+                      restarts: Optional[int] = None) -> List[PreparedRow]:
+    """Each state under its best local-unitary layer, from one optimizer pool;
+    a row's prep_s is its own layer plus an equal share of the pool's time."""
+    t0 = time.perf_counter()
+    optimized = optimize_local_layers(states, restarts, seeds)
+    share, rows = (time.perf_counter() - t0) / len(states), []
+    for state, seed, (layer, resource) in zip(states, seeds, optimized):
+        t0 = time.perf_counter() - share
+        rows.append(PreparedRow("skw2", SKW, apply_local_layer(state, layer),
+                                resource, seed, time.perf_counter() - t0))
+    return rows
+
+
 def run_skw2_rows(states: Sequence[NodeState], seeds: Sequence[int],
                   plan: Optional[IterationPlan] = None, restarts: Optional[int] = None,
                   *, metric: str = "vertex") -> List[RunResult]:
-    """run_skw2 on states of one n, sharing one optimizer pool; a row's wall_ms
-    is its own layer and walk plus an equal share of the pool's time."""
-    t0 = time.perf_counter()
-    optimized = optimize_local_layers(states, restarts, seeds)
-    share, results = (time.perf_counter() - t0) / len(states), []
-    for state, seed, (layer, resource) in zip(states, seeds, optimized):
-        t0 = time.perf_counter() - share
-        results.append(_walk_and_average("skw2", SKW, apply_local_layer(state, layer),
-                                         resource, plan, metric, seed, t0))
-    return results
+    """run_skw2 on states of one n: one optimizer pool, one walk call."""
+    return list(walk_rows(prepare_skw2_rows(states, seeds, restarts), plan, metric))
 
 
 def run_skw2(state: NodeState, plan: Optional[IterationPlan] = None,
@@ -162,46 +190,50 @@ def run_skw2(state: NodeState, plan: Optional[IterationPlan] = None,
     return run_skw2_rows([state], [seed], plan, restarts, metric=metric)[0]
 
 
-def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
-             metric: str = "vertex") -> RunResult:
-    """Best Pauli layer, a Hadamard on every qubit, then the walk.
-
-    Prediction (1 - C_f^2)/2 = max_i |a_i|^2 / 2. The best Pauli layer is
-    the closed form: it sends the largest basis weight to |0...0>, which
-    attains the maximum over all 3^n layers (oracle.enumerate_pauli_layers
-    checks this exhaustively).
-    """
+def prepare_skw3(state: NodeState) -> PreparedRow:
+    """The state under its best Pauli layer, then a Hadamard on every qubit.
+    The best layer is the closed form: it sends the largest basis weight to
+    |0...0>, which attains the maximum over all 3^n layers (checked
+    exhaustively by oracle.enumerate_pauli_layers)."""
     t0 = time.perf_counter()
-    n = state.n
     i, _ = best_pauli_basis(state)
     # X moves <0| onto <1|, Z keeps <0|: spell the argmax vertex bitwise
-    layer = pauli_layer("".join("X" if (i >> j) & 1 else "Z" for j in range(n)))
+    layer = pauli_layer("".join("X" if (i >> j) & 1 else "Z" for j in range(state.n)))
     transformed = apply_local_layer(apply_local_layer(state, layer),
-                                    hadamard_layer(n))
+                                    hadamard_layer(state.n))
     resource = ResourceReport(f_c=coherence_fraction(state),
                               C_f=fidelity_coherence(state))
-    return _walk_and_average("skw3", SKW, transformed, resource, plan, metric, 0, t0)
+    return PreparedRow("skw3", SKW, transformed, resource, 0, time.perf_counter() - t0)
 
 
-def run_oskw1(state: NodeState, plan: Optional[IterationPlan] = None, *,
-              seed: int = 0, measure_entanglement: bool = False,
-              restarts: Optional[int] = None, metric: str = "vertex") -> RunResult:
-    """Two-shift optimized walk on the even-parity subspace.
+def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
+             metric: str = "vertex") -> RunResult:
+    """prepare_skw3's state walked; prediction (1 - C_f^2)/2 = max_i |a_i|^2 / 2."""
+    return next(walk_rows([prepare_skw3(state)], plan, metric))
 
-    The state is projected onto even-parity vertices (leaked weight
-    recorded), targets range over the even vertices, and the prediction is
-    the projected state's overlap with the even equal superposition.
-    """
+
+def prepare_oskw1(state: NodeState, seed: int = 0, measure_entanglement: bool = False,
+                  restarts: Optional[int] = None) -> PreparedRow:
+    """The state projected onto even-parity vertices, leaked weight
+    recorded; the prediction is its overlap with the even equal superposition."""
     t0 = time.perf_counter()
     if state.n < 3:
         raise ValueError(f"optimized walk needs at least 3 directions, got {state.n}")
     projected, leaked = project_even_parity(state)
     # the input state's resources, but f_c on the even subspace walked
     resource = dataclasses.replace(
-        _base_report(state, measure_entanglement, restarts, seed),
+        prepare_skw1(state, seed, measure_entanglement, restarts).resource,
         f_c=even_coherence_fraction(projected))
-    return _walk_and_average("oskw1", OSKW, projected, resource, plan, metric,
-                             seed, t0, leaked)
+    return PreparedRow("oskw1", OSKW, projected, resource, seed,
+                       time.perf_counter() - t0, leaked)
+
+
+def run_oskw1(state: NodeState, plan: Optional[IterationPlan] = None, *,
+              seed: int = 0, measure_entanglement: bool = False,
+              restarts: Optional[int] = None, metric: str = "vertex") -> RunResult:
+    """Two-shift optimized walk on the even-parity subspace, over even targets."""
+    return next(walk_rows([prepare_oskw1(state, seed, measure_entanglement, restarts)],
+                          plan, metric))
 
 
 def run_oskw(n: int, plan: Optional[IterationPlan] = None, *,

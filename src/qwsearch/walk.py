@@ -13,15 +13,15 @@ is a gather and C0 is twice the column mean minus the column.
 `target_probabilities` serves every marked vertex at once: relabeling
 vertices by x -> x XOR t commutes with S and C0 and moves the mark from 0
 to t, so one set of adjoint kernels with the mark at 0 gives all targets
-through Walsh-Hadamard transforms. The forward walk for one marked vertex,
-`oracle.evolve`, is the reference it is checked against.
+of all start states of one n through Walsh-Hadamard transforms. The
+forward walk for one marked vertex, `oracle.evolve`, is the reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -163,26 +163,33 @@ def _adjoint_kernels(spec: WalkSpec, plan: IterationPlan) -> np.ndarray:
     return kernels
 
 
-def target_probabilities(state: NodeState, plan: IterationPlan, variant: str,
-                         metric: str) -> np.ndarray:
-    """Success probability for every marked vertex t, indexed by t.
+def target_probabilities(states: Sequence[NodeState], plan: IterationPlan,
+                         variant: str, metric: str) -> np.ndarray:
+    """Success probability for every marked vertex t, one row per state.
 
     The walk starts from the uniform coin (x) state, as in `oracle.evolve`.
     With the mark at t the amplitude at (d, t) is sum_y K_d(y) psi(y XOR t),
     an XOR convolution, so it equals H(H K_d . H psi) / N for the
-    Walsh-Hadamard transform H. The vertex metric sums |amplitude|^2 over
-    d; the gamma metric reads the single kernel sum_d K_d / sqrt(n). The
-    two-shift walk is defined for even targets only; its odd entries carry
-    no meaning.
+    Walsh-Hadamard transform H. H K depends on (n, plan, variant, metric)
+    only, so the states share one build of it. The vertex metric sums
+    |amplitude|^2 over d; the gamma metric reads the single kernel
+    sum_d K_d / sqrt(n). The two-shift walk is defined for even targets
+    only; its odd entries carry no meaning.
     """
     if metric not in ("vertex", "gamma"):
         raise ValueError(f"unknown metric {metric!r}")
-    spec = WalkSpec(n=state.n, node_count=state.dim, target=0, variant=variant)
+    if not states or any(state.n != states[0].n for state in states):
+        raise ValueError("target_probabilities needs states, all of one n")
+    n = states[0].n
+    spec = WalkSpec(n=n, node_count=1 << n, target=0, variant=variant)
     kernels = _adjoint_kernels(spec, plan)
     if metric == "gamma":
-        kernels = kernels.sum(axis=0, keepdims=True) / math.sqrt(spec.n)
-    amps = _fwht(_fwht(kernels) * _fwht(state.amplitudes)) / spec.node_count
-    return np.sum(np.abs(amps) ** 2, axis=0)
+        kernels = kernels.sum(axis=0, keepdims=True) / math.sqrt(n)
+    spectrum = _fwht(kernels)
+    return np.array([
+        np.sum(np.abs(_fwht(spectrum * _fwht(state.amplitudes))
+                      / spec.node_count) ** 2, axis=0)
+        for state in states])
 
 
 def project_even_parity(state: NodeState) -> Tuple[NodeState, float]:

@@ -5,6 +5,7 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
 from qwsearch import cli
@@ -516,3 +517,57 @@ def test_sweep_fig4_overwrites(tmp_path, capsys):
     rows = _read_rows(out / "sweep_fig4.csv")
     assert len(rows) == 6  # fresh file each time, not an append
 
+
+
+def _count_kernel_builds(monkeypatch):
+    from qwsearch import walk
+    builds = []
+    build = walk._adjoint_kernels
+    monkeypatch.setattr(walk, "_adjoint_kernels",
+                        lambda *args: builds.append(args) or build(*args))
+    return builds
+
+
+def test_sweep_fig4_walks_one_row_group(tmp_path, monkeypatch):
+    builds = _count_kernel_builds(monkeypatch)
+    argv = ["sweep-fig4", "--n", "5", "--samples", "3", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert len(builds) == 1
+    assert main(argv) == 0     # a second command builds its own kernels
+    assert len(builds) == 2
+
+
+@pytest.mark.parametrize("variant,family,seeds,expected", [
+    ("skw2", "state.family = ghz\nstate.alpha = 0.1, 0.4, 0.7", "0, 1, 2, 3, 4", 3),
+    ("oskw1", "state.family = haar_random", "0, 1, 2, 3", 4),
+])
+def test_config_kernel_builds(tmp_path, monkeypatch, variant, family, seeds, expected):
+    monkeypatch.chdir(tmp_path)
+    builds = _count_kernel_builds(monkeypatch)
+    cfg = _write(tmp_path / "cfg.txt", f"experiment.id = builds\nrun.variant = {variant}\n"
+                 f"run.n = 6\nrun.seeds = {seeds}\n{family}\n")
+    assert main(["run", cfg]) == 0
+    assert len(builds) == expected
+
+
+@pytest.mark.parametrize("n", [5, 9])
+def test_sweep_fig4_matches_one_row_runners(tmp_path, n):
+    from qwsearch import (make_ghz_node_state, make_interpolated_node_state,
+                          make_tilted_node_state, run_skw1, run_skw2, run_skw3)
+    samples, seed = 4, 2
+    assert main(["sweep-fig4", "--n", str(n), "--samples", str(samples),
+                 "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    rows = _read_rows(tmp_path / "sweep_fig4.csv")
+    ones = [run_skw1(make_interpolated_node_state(n, float(t)), seed=seed)
+            for t in np.linspace(0.0, 1.0, samples)]
+    ones += [run_skw2(make_ghz_node_state(n, float(a)), seed=seed)
+             for a in np.linspace(0.0, math.pi / 4.0, samples)]
+    ones += [run_skw3(make_tilted_node_state(n, float(s)))
+             for s in np.linspace(1.0 / 2 ** n, 1.0, samples)]
+    assert len(rows) == len(ones)
+    for k, (row, res) in enumerate(zip(rows, ones)):
+        one = cli.result_row(f"fig4-{res.variant}-{k % samples:02d}", res, seed)
+        assert ({k: v for k, v in row.items() if k != "wall_ms"}
+                == {k: cli._cell(v) for k, v in one.items() if k != "wall_ms"})
+    summary = json.loads((tmp_path / "sweep_fig4_summary.json").read_text())
+    assert summary["wall_ms_total"] == sum(float(row["wall_ms"]) for row in rows)

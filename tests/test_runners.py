@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import time
 
@@ -18,7 +19,10 @@ from qwsearch import (OSKW, SKW, InvariantViolation, IterationPlan,
                       success_probability, target_probabilities,
                       uniform_coin)
 from qwsearch.cli import _cell, execute_config, parse_config, result_row
-from qwsearch.runners import VARIANTS, run_skw2_rows
+from qwsearch import walk
+from qwsearch.runners import (VARIANTS, prepare_oskw1, prepare_skw1,
+                              prepare_skw2_rows, prepare_skw3, run_skw2_rows,
+                              walk_rows)
 
 BOUND_N8 = 3 / math.sqrt(2 ** 8)
 
@@ -302,7 +306,7 @@ def test_engine_matches_forward_walk(n, variant, tau, metric):
         plan = IterationPlan.skw_optimal(n)
     if tau is not None:   # odd tau: the two-shift walk drops the leftover round
         plan = IterationPlan.explicit(tau)
-    got = target_probabilities(node, plan, variant, metric)[targets]
+    got = target_probabilities([node], plan, variant, metric)[0][targets]
     ref = _forward_probs(node, plan, variant, metric, targets)
     assert np.max(np.abs(got - ref)) <= 1e-12
 
@@ -349,3 +353,60 @@ def test_tilted_state_prediction():
     res = run_skw3(make_tilted_node_state(8, 0.6))
     assert res.p_pred == pytest.approx(0.3, abs=1e-12)
     assert res.abs_dev <= BOUND_N8
+
+
+def _same_but_wall_ms(a, b):
+    return dataclasses.replace(a, wall_ms=0.0) == dataclasses.replace(b, wall_ms=0.0)
+
+
+@pytest.mark.parametrize("metric", ["vertex", "gamma"])
+def test_group_with_mixture_and_pure_rows_matches_one_row_runners(metric):
+    n = 6
+    pure, tilted = make_random_node_state(n, 2), make_tilted_node_state(n, 0.3)
+    mix = MixedEnsemble(((0.3, make_random_node_state(n, 1)),
+                         (0.7, make_ghz_node_state(n, 0.4))))
+    rows = [prepare_skw1(pure), prepare_skw1(mix, seed=3), prepare_skw3(tilted),
+            *prepare_skw2_rows([pure, tilted], [5, 6], restarts=4)]
+    group = list(walk_rows(rows, metric=metric))
+    one = [run_skw1(pure, metric=metric), run_skw1(mix, seed=3, metric=metric),
+           run_skw3(tilted, metric=metric),
+           run_skw2(pure, restarts=4, seed=5, metric=metric),
+           run_skw2(tilted, restarts=4, seed=6, metric=metric)]
+    assert [r.variant for r in group] == ["skw1", "skw1", "skw3", "skw2", "skw2"]
+    assert all(_same_but_wall_ms(g, o) for g, o in zip(group, one))
+
+
+def test_oskw1_group_matches_one_row_runner():
+    states = [make_random_node_state(7, seed) for seed in range(3)]
+    plan = IterationPlan.explicit(13)
+    group = list(walk_rows([prepare_oskw1(s, seed=k) for k, s in enumerate(states)],
+                           plan))
+    for k, (res, state) in enumerate(zip(group, states)):
+        assert _same_but_wall_ms(res, run_oskw1(state, plan, seed=k))
+        assert res.leaked_weight is not None
+
+
+def test_group_wall_ms_adds_up_to_the_call():
+    rows = [prepare_skw1(make_random_node_state(7, seed)) for seed in range(4)]
+    t0 = time.perf_counter()
+    results = list(walk_rows(rows))
+    elapsed_ms = (time.perf_counter() - t0 + sum(r.prep_s for r in rows)) * 1e3
+    assert all(r.wall_ms > row.prep_s * 1e3 for r, row in zip(results, rows))
+    assert sum(r.wall_ms for r in results) <= elapsed_ms
+
+
+@pytest.mark.parametrize("make_rows,fragment", [
+    (lambda: [], "needs rows"),
+    (lambda: [prepare_skw1(make_random_node_state(4, 0)),
+              prepare_skw1(make_random_node_state(5, 0))], "one n"),
+    (lambda: [prepare_skw1(make_random_node_state(4, 0)),
+              prepare_oskw1(make_random_node_state(4, 0))], "one walk"),
+])
+def test_group_refused_before_any_kernel_build(monkeypatch, make_rows, fragment):
+    rows = make_rows()
+
+    def no_build(*args):
+        raise AssertionError("a kernel was built")
+    monkeypatch.setattr(walk, "_adjoint_kernels", no_build)
+    with pytest.raises(ValueError, match=fragment):
+        list(walk_rows(rows))

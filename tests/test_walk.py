@@ -260,7 +260,7 @@ def test_conservation_guard_trips(monkeypatch):
     with pytest.raises(InvariantViolation):
         evolve(w, spec, IterationPlan.explicit(10))
     with pytest.raises(InvariantViolation, match="walker norm conservation"):
-        target_probabilities(make_uniform_node_state(5),
+        target_probabilities([make_uniform_node_state(5)],
                              IterationPlan.explicit(10), SKW, "vertex")
 
 
@@ -273,5 +273,55 @@ def test_walk_size_guard():
 
 def test_engine_rejects_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric"):
-        target_probabilities(make_uniform_node_state(3),
+        target_probabilities([make_uniform_node_state(3)],
                              IterationPlan.explicit(2), SKW, "edge")
+
+
+def _one_state_reference(state, plan, variant, metric):
+    """The one-state engine formula: kernels, their transform, the state's."""
+    spec = _spec(state.n, variant=variant)
+    kernels = walk._adjoint_kernels(spec, plan)
+    if metric == "gamma":
+        kernels = kernels.sum(axis=0, keepdims=True) / math.sqrt(state.n)
+    amps = walk._fwht(walk._fwht(kernels) * walk._fwht(state.amplitudes)) / 2 ** state.n
+    return np.sum(np.abs(amps) ** 2, axis=0)
+
+
+@pytest.mark.parametrize("metric", ["vertex", "gamma"])
+@pytest.mark.parametrize("variant", [SKW, OSKW])
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_state_list_is_bit_identical_to_one_state_calls(n, variant, metric):
+    from qwsearch import make_ghz_node_state, make_random_node_state
+    states = [make_random_node_state(n, seed) for seed in range(3)]
+    states += [make_uniform_node_state(n), make_ghz_node_state(n, 0.3)]
+    if variant == OSKW:
+        states = [project_even_parity(s)[0] for s in states]
+        plan = IterationPlan.oskw_optimal(2 ** n)
+    else:
+        plan = IterationPlan.skw_optimal(n)
+    got = target_probabilities(states, plan, variant, metric)
+    assert got.shape == (len(states), 2 ** n)
+    for row, state in zip(got, states):
+        assert np.array_equal(row, target_probabilities([state], plan, variant,
+                                                        metric)[0])
+        assert np.array_equal(row, _one_state_reference(state, plan, variant, metric))
+
+
+@pytest.mark.parametrize("states", [[], [3, 4], [4, 4, 3]])
+def test_state_list_refused_before_any_kernel_build(monkeypatch, states):
+    def no_build(*args):
+        raise AssertionError("a kernel was built")
+    monkeypatch.setattr(walk, "_adjoint_kernels", no_build)
+    with pytest.raises(ValueError, match="all of one n"):
+        target_probabilities([make_uniform_node_state(n) for n in states],
+                             IterationPlan.explicit(2), SKW, "vertex")
+
+
+def test_state_list_builds_one_kernel_set(monkeypatch):
+    builds = []
+    build = walk._adjoint_kernels
+    monkeypatch.setattr(walk, "_adjoint_kernels",
+                        lambda *args: builds.append(args) or build(*args))
+    states = [make_basis_node_state(4, i) for i in range(6)]
+    target_probabilities(states, IterationPlan.explicit(3), SKW, "gamma")
+    assert len(builds) == 1
