@@ -5,31 +5,82 @@ matrices assembled entry by entry, an exhaustive Bloch-angle grid for the
 best product overlap, the exhaustive 3^n Pauli-layer search, and
 standalone identity checks; these share only data types with the engine.
 The forward walk `evolve` deliberately reuses the engine's grid kernels, one
-marked vertex at a time, to check the adjoint/XOR/Walsh assembly of
-`walk.target_probabilities`. `oracle_suite` is what `qwsearch verify` runs.
+marked vertex at a time, so its mean over the targets checks the p_avg of
+`walk.walsh_weights`. `oracle_suite` is what `qwsearch verify` runs.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from .config import (DENSE_GUARD_N, GRID_GUARD_N, GRID_GUARD_RESOLUTION,
-                     IDENTITY_CHECK_GUARD_N, PAULI_GUARD_N, UNITARY_TOL,
+                     IDENTITY_CHECK_GUARD_N, NORM_TOL, PAULI_GUARD_N, UNITARY_TOL,
                      InvariantViolation)
 from .measures import (LocalLayer, best_pauli_basis, optimize_local_layer_detailed,
                        pauli_layer)
-from .states import (NodeState, WalkerState, compose_walker,
-                     make_random_node_state, uniform_coin)
+from .runners import prepare_oskw1, prepare_skw1, walk_rows
+from .states import NodeState, _frozen, make_random_node_state
 from .walk import (OSKW, SKW, IterationPlan, WalkSpec, _check_norm, _grover,
                    _marked_coin, _shift, _shift_index)
 
 
 # ---------------------------------------------------------------------------
-# forward walk, one marked vertex at a time
+# forward walk, one marked vertex at a time, on the full coin (x) node walker
+
+@dataclass(frozen=True)
+class WalkerState:
+    """Joint coin (x) node amplitudes of the walker.
+
+    `n` is the direction count, `node_count` the vertex count; flat index
+    d * node_count + x. The 2D view used internally is amplitudes reshaped
+    to (n, node_count).
+    """
+
+    n: int
+    node_count: int
+    amplitudes: np.ndarray
+
+    def __post_init__(self):
+        amps = _frozen(np.asarray(self.amplitudes).ravel())
+        if amps.shape[0] != self.n * self.node_count:
+            raise ValueError(
+                f"expected {self.n * self.node_count} amplitudes, got {amps.shape[0]}"
+            )
+        norm_sq = float(np.sum(np.abs(amps) ** 2))
+        if not abs(norm_sq - 1.0) <= NORM_TOL:   # NaN fails too
+            raise ValueError(f"walker not normalized: total = {norm_sq!r}")
+        object.__setattr__(self, "amplitudes", amps)
+
+    def grid(self) -> np.ndarray:
+        """Read-only (n, node_count) view."""
+        return self.amplitudes.reshape(self.n, self.node_count)
+
+
+def uniform_coin(n: int) -> np.ndarray:
+    """The equal-superposition coin state over n directions."""
+    if n < 2:
+        raise ValueError(f"coin needs n >= 2 directions, got {n}")
+    return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
+
+
+def compose_walker(coin: Sequence[complex], node: NodeState) -> WalkerState:
+    """Tensor a coin state with a node state: amplitude(d, x) = coin[d] * a_x.
+
+    The coin dimension must equal the node register's qubit count (the walk
+    always has one direction per node qubit).
+    """
+    coin = np.asarray(coin, dtype=np.complex128).ravel()
+    if coin.shape[0] != node.n:
+        raise ValueError(
+            f"coin dimension {coin.shape[0]} does not match node n={node.n}"
+        )
+    amps = np.outer(coin, node.amplitudes).ravel()
+    return WalkerState(node.n, node.dim, amps)
+
 
 def evolve(state: WalkerState, spec: WalkSpec, plan: IterationPlan) -> WalkerState:
     """Run the walk for the plan's step budget.
@@ -372,6 +423,18 @@ def oracle_suite(max_n: int, trials: int,
             dev = float(np.max(np.abs(free.amplitudes - dense.amplitudes)))
             checks.append((f"dense agreement n={n} {variant}", dev <= 1e-12,
                            f"max amplitude dev {dev:.3g}"))
+        # the production p_avg against the mean of one forward walk per target
+        plan, devs = IterationPlan.explicit(2 * n + 1), []
+        for prepare, walk in ((prepare_skw1, SKW), (prepare_oskw1, OSKW))[:1 + (n >= 3)]:
+            row = prepare(make_random_node_state(n, seed))
+            start = compose_walker(uniform_coin(n), row.walked)
+            finals = [(t, evolve(start, WalkSpec(n, 1 << n, t, walk), plan))
+                      for t in range(1 << n) if walk == SKW or t.bit_count() % 2 == 0]
+            devs += [abs(walk_rows([row], plan, metric)[0].p_avg - math.fsum(
+                success_probability(w, t, metric) for t, w in finals) / len(finals))
+                for metric in ("vertex", "gamma")]
+        checks.append((f"p_avg route n={n}", max(devs) <= 1e-12,
+                       f"max dev {max(devs):.3g} over {len(devs)} walk/metric pairs"))
 
     for n in range(2, min(max_n, 6) + 1):
         dev_s = xor_covariance_deviation(n, shift=(1 << n) - 1, target=0,

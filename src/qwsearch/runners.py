@@ -1,9 +1,10 @@
 """End-to-end search runs for every algorithm variant.
 
 Each variant's prepare step makes a row: the state it walks and its
-resource report. One shared body, `walk_rows`, walks a group of rows of one
-n on one kernel build of the spectral engine (`walk.target_probabilities`)
-and reports each row's target average next to its closed-form prediction.
+resource report. One shared body, `walk_rows`, builds the state-independent
+Walsh weights of a group of rows of one n once (`walk.walsh_weights`),
+reads each row's target average off one Walsh transform per walked state
+(`walk.walsh_average`) and reports it next to its closed-form prediction.
 Each variant's inputs and closed form live in `VARIANTS`:
 
     skw, skw1 -> f_c / 2         skw2 -> (1 - E_g^2) / 2
@@ -13,34 +14,28 @@ Each variant's inputs and closed form live in `VARIANTS`:
 from __future__ import annotations
 
 import dataclasses
-import math
 import time
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .config import InvariantViolation
+from .config import STRICT_TOL, WALK_GUARD_N, InvariantViolation
 from .measures import (ResourceReport, best_pauli_basis, coherence_fraction,
                        even_coherence_fraction, fidelity_coherence,
                        groverian_entanglement, hadamard_layer,
                        optimize_local_layers, pauli_layer)
 from .states import (MixedEnsemble, NodeState, StateLike, apply_local_layer,
-                     even_parity_mask, make_even_uniform_node_state,
-                     make_uniform_node_state)
-from .walk import (OSKW, SKW, IterationPlan, project_even_parity,
-                   target_probabilities)
+                     make_even_uniform_node_state, make_uniform_node_state)
+from .walk import (OSKW, SKW, IterationPlan, project_even_parity, walsh_average,
+                   walsh_weights)
 
 
 @dataclass(frozen=True)
 class RunResult:
-    """One run: each admitted target's probability, their mean, and the prediction."""
+    """One run: the success rate averaged over the admitted targets, and its prediction."""
 
     variant: str
     n: int                      # walk direction count
     tau: int
-    per_target: Tuple[Tuple[int, float], ...]
     p_avg: float
     p_pred: float
     abs_dev: float
@@ -51,19 +46,9 @@ class RunResult:
     metric: str = "vertex"
 
     def __post_init__(self):
-        if not self.per_target:
-            raise ValueError("run result needs at least one target")
-        slack = 1e-12
-        for tg, p in self.per_target:
-            if not -slack <= p <= 1.0 + slack:
-                raise InvariantViolation("probability range", f"p({tg}) = {p!r}")
-        if not -slack <= self.p_pred <= 1.0 + slack:
-            raise InvariantViolation("probability range", f"p_pred = {self.p_pred!r}")
-        mean = math.fsum(p for _, p in self.per_target) / len(self.per_target)
-        if abs(self.p_avg - mean) > 1e-14:
-            raise InvariantViolation(
-                "average consistency", f"p_avg {self.p_avg!r} vs mean {mean!r}"
-            )
+        for name, p in (("p_avg", self.p_avg), ("p_pred", self.p_pred)):
+            if not -STRICT_TOL <= p <= 1.0 + STRICT_TOL:
+                raise InvariantViolation("probability range", f"{name} = {p!r}")
 
 
 def predicted_probability(variant: str, resource: ResourceReport) -> float:
@@ -93,40 +78,36 @@ class PreparedRow(NamedTuple):
 
 
 def walk_rows(rows: Sequence[PreparedRow], plan: Optional[IterationPlan] = None,
-              metric: str = "vertex") -> Iterator[RunResult]:
-    """Walk a row group, rows of one n and one walk, on one kernel build.
+              metric: str = "vertex") -> List[RunResult]:
+    """Walk a row group, rows of one n and one walk, on one weight build.
 
-    Lazy, so a caller need not hold every row's per_target: checks and walk
-    run at the first result. Each row averages over the targets the walk
-    admits: every vertex for the plain walk, the even ones for the two-shift
-    walk. No plan means the optimal one; a mixture row walks each member and
-    weights their results. A row's wall_ms is its preparation, its own
-    assembly and an equal share of the group's walk call per state it walks."""
+    A row averages over the targets its walk admits: all for the plain walk,
+    the even ones for the two-shift walk. No plan means the optimal one; a
+    mixture weights its members' averages. A row's wall_ms is its preparation,
+    its own transforms and an equal share of the build per state it walks."""
     if not rows or any((r.walked.n, r.walk) != (rows[0].walked.n, rows[0].walk)
                        for r in rows):
         raise ValueError("a row group needs rows, all of one n and one walk")
     n, walk = rows[0].walked.n, rows[0].walk
     plan = plan or (IterationPlan.skw_optimal(n) if walk == SKW
                     else IterationPlan.oskw_optimal(1 << n))
-    targets = np.arange(1 << n) if walk == SKW else np.nonzero(even_parity_mask(n))[0]
     members = [r.walked.members if isinstance(r.walked, MixedEnsemble)
                else ((1.0, r.walked),) for r in rows]
     t0 = time.perf_counter()
-    table = iter(target_probabilities([m for ms in members for _, m in ms],
-                                      plan, walk, metric))
+    weights = walsh_weights(n, plan, walk, metric)
     per_state = (time.perf_counter() - t0) / sum(map(len, members))
+    results = []
     for row, ms in zip(rows, members):
         t0 = time.perf_counter() - row.prep_s - per_state * len(ms)
-        probs = sum(p_mu * next(table) for p_mu, _ in ms)[targets].tolist()
-        # exactly rounded, so RunResult's recomputed mean agrees at every n
-        p_avg = math.fsum(probs) / len(probs)
+        p_avg = sum(p_mu * walsh_average(weights, m) for p_mu, m in ms)
         p_pred = predicted_probability(row.variant, row.resource)
-        yield RunResult(
+        results.append(RunResult(
             variant=row.variant, n=n, tau=plan.tau, p_avg=p_avg,
-            per_target=tuple(zip(targets.tolist(), probs)), p_pred=float(p_pred),
-            abs_dev=float(abs(p_avg - p_pred)), resource=row.resource,
-            seed=row.seed, wall_ms=(time.perf_counter() - t0) * 1e3,
-            leaked_weight=row.leaked, metric=metric)
+            p_pred=float(p_pred), abs_dev=float(abs(p_avg - p_pred)),
+            resource=row.resource, seed=row.seed,
+            wall_ms=(time.perf_counter() - t0) * 1e3, leaked_weight=row.leaked,
+            metric=metric))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -151,8 +132,8 @@ def run_skw1(state: StateLike, plan: Optional[IterationPlan] = None, *,
              restarts: Optional[int] = None,
              metric: str = "vertex") -> RunResult:
     """Walk the state as supplied, or each mixture member; prediction f_c / 2."""
-    return next(walk_rows([prepare_skw1(state, seed, measure_entanglement, restarts)],
-                          plan, metric))
+    return walk_rows([prepare_skw1(state, seed, measure_entanglement, restarts)],
+                     plan, metric)[0]
 
 
 def run_skw(n: int, plan: Optional[IterationPlan] = None, *,
@@ -180,7 +161,7 @@ def run_skw2_rows(states: Sequence[NodeState], seeds: Sequence[int],
                   plan: Optional[IterationPlan] = None, restarts: Optional[int] = None,
                   *, metric: str = "vertex") -> List[RunResult]:
     """run_skw2 on states of one n: one optimizer pool, one walk call."""
-    return list(walk_rows(prepare_skw2_rows(states, seeds, restarts), plan, metric))
+    return walk_rows(prepare_skw2_rows(states, seeds, restarts), plan, metric)
 
 
 def run_skw2(state: NodeState, plan: Optional[IterationPlan] = None,
@@ -209,7 +190,7 @@ def prepare_skw3(state: NodeState) -> PreparedRow:
 def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
              metric: str = "vertex") -> RunResult:
     """prepare_skw3's state walked; prediction (1 - C_f^2)/2 = max_i |a_i|^2 / 2."""
-    return next(walk_rows([prepare_skw3(state)], plan, metric))
+    return walk_rows([prepare_skw3(state)], plan, metric)[0]
 
 
 def prepare_oskw1(state: NodeState, seed: int = 0, measure_entanglement: bool = False,
@@ -232,14 +213,17 @@ def run_oskw1(state: NodeState, plan: Optional[IterationPlan] = None, *,
               seed: int = 0, measure_entanglement: bool = False,
               restarts: Optional[int] = None, metric: str = "vertex") -> RunResult:
     """Two-shift optimized walk on the even-parity subspace, over even targets."""
-    return next(walk_rows([prepare_oskw1(state, seed, measure_entanglement, restarts)],
-                          plan, metric))
+    return walk_rows([prepare_oskw1(state, seed, measure_entanglement, restarts)],
+                     plan, metric)[0]
 
 
 def run_oskw(n: int, plan: Optional[IterationPlan] = None, *,
              metric: str = "vertex") -> RunResult:
     """The optimized algorithm proper: even equal superposition one
     dimension above the n-bit search problem."""
+    if n >= WALK_GUARD_N:
+        raise ValueError(f"it walks n + 1 directions, so n (run.n) must be <= "
+                         f"{WALK_GUARD_N - 1} (walk size guard), got {n}")
     state = make_even_uniform_node_state(n + 1)
     return dataclasses.replace(run_oskw1(state, plan, metric=metric),
                                variant="oskw")

@@ -1,4 +1,4 @@
-"""Node states, mixed ensembles, and walker states for the hypercube walk.
+"""Node states and mixed ensembles for the hypercube walk.
 
 Bit convention used everywhere: a vertex x is an n-bit integer, qubit j is
 bit j with bit 0 least significant, and direction d flips bit d. A flat
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Union
 
 import numpy as np
 
@@ -81,35 +81,6 @@ class MixedEnsemble:
     @property
     def n(self) -> int:
         return self.members[0][1].n
-
-
-@dataclass(frozen=True)
-class WalkerState:
-    """Joint coin (x) node amplitudes of the walker.
-
-    `n` is the direction count, `node_count` the vertex count; flat index
-    d * node_count + x. The 2D view used internally is amplitudes reshaped
-    to (n, node_count).
-    """
-
-    n: int
-    node_count: int
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        amps = _frozen(np.asarray(self.amplitudes).ravel())
-        if amps.shape[0] != self.n * self.node_count:
-            raise ValueError(
-                f"expected {self.n * self.node_count} amplitudes, got {amps.shape[0]}"
-            )
-        norm_sq = float(np.sum(np.abs(amps) ** 2))
-        if not abs(norm_sq - 1.0) <= NORM_TOL:   # NaN fails too
-            raise ValueError(f"walker not normalized: total = {norm_sq!r}")
-        object.__setattr__(self, "amplitudes", amps)
-
-    def grid(self) -> np.ndarray:
-        """Read-only (n, node_count) view."""
-        return self.amplitudes.reshape(self.n, self.node_count)
 
 
 StateLike = Union[NodeState, MixedEnsemble]
@@ -196,30 +167,8 @@ def make_tilted_node_state(n: int, s: float) -> NodeState:
     return NodeState(n, amps)
 
 
-def uniform_coin(n: int) -> np.ndarray:
-    """The equal-superposition coin state over n directions."""
-    if n < 2:
-        raise ValueError(f"coin needs n >= 2 directions, got {n}")
-    return np.full(n, 1.0 / math.sqrt(n), dtype=np.complex128)
-
-
 # ---------------------------------------------------------------------------
 # operations
-
-def compose_walker(coin: Sequence[complex], node: NodeState) -> WalkerState:
-    """Tensor a coin state with a node state: amplitude(d, x) = coin[d] * a_x.
-
-    The coin dimension must equal the node register's qubit count (the walk
-    always has one direction per node qubit).
-    """
-    coin = np.asarray(coin, dtype=np.complex128).ravel()
-    if coin.shape[0] != node.n:
-        raise ValueError(
-            f"coin dimension {coin.shape[0]} does not match node n={node.n}"
-        )
-    amps = np.outer(coin, node.amplitudes).ravel()
-    return WalkerState(node.n, node.dim, amps)
-
 
 def overlap(a: NodeState, b: NodeState) -> complex:
     """<a|b> = sum_x conj(a_x) b_x."""

@@ -10,10 +10,10 @@ C0 is the Grover coin (2/n)J - I and C1 = -I, the fixed coins of the
 Shenvi-Kempe-Whaley search. No operator matrix is ever formed: the shift
 is a gather and C0 is twice the column mean minus the column.
 
-`target_probabilities` serves every marked vertex at once: relabeling
-vertices by x -> x XOR t commutes with S and C0 and moves the mark from 0
-to t, so one set of adjoint kernels with the mark at 0 gives all targets
-of all start states of one n through Walsh-Hadamard transforms. The
+Relabeling vertices by x -> x XOR t commutes with S and C0 and moves the
+mark from 0 to t, so one set of adjoint kernels with the mark at 0 serves
+every target: the target average is a quadratic form in the start state's
+Walsh spectrum with state-independent weights (`walsh_weights`). The
 forward walk for one marked vertex, `oracle.evolve`, is the reference.
 """
 
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -163,33 +163,40 @@ def _adjoint_kernels(spec: WalkSpec, plan: IterationPlan) -> np.ndarray:
     return kernels
 
 
-def target_probabilities(states: Sequence[NodeState], plan: IterationPlan,
-                         variant: str, metric: str) -> np.ndarray:
-    """Success probability for every marked vertex t, one row per state.
+def walsh_weights(n: int, plan: IterationPlan, walk: str,
+                  metric: str) -> Tuple[np.ndarray, np.ndarray]:
+    """State-independent weights (A, B) of the target-averaged success rate.
 
-    The walk starts from the uniform coin (x) state, as in `oracle.evolve`.
-    With the mark at t the amplitude at (d, t) is sum_y K_d(y) psi(y XOR t),
-    an XOR convolution, so it equals H(H K_d . H psi) / N for the
-    Walsh-Hadamard transform H. H K depends on (n, plan, variant, metric)
-    only, so the states share one build of it. The vertex metric sums
-    |amplitude|^2 over d; the gamma metric reads the single kernel
-    sum_d K_d / sqrt(n). The two-shift walk is defined for even targets
-    only; its odd entries carry no meaning.
-    """
+    From the uniform coin (x) psi, as in `oracle.evolve`, the amplitude at
+    (d, t) with the mark at t is the XOR convolution H(H K_d . H psi) / N.
+    By Parseval its mean over all t is sum_s A(s) |psi^(s)|^2, psi^ = H psi /
+    sqrt(N), A(s) = sum_d (H K_d(s))^2 / N. Over the two-shift walk's even
+    targets, s pairs with s~ = s XOR 1...1: X(s) = Re psi^(s) conj psi^(s~)
+    adds with B(s) = sum_d H K_d(s) H K_d(s~) / N; B = 0 for the plain walk.
+    The gamma metric reads the one kernel sum_d K_d / sqrt(n). A(s) is a Walsh
+    mode's average and A(s) + B(s) an even pair's, so both lie in [0, 1]."""
     if metric not in ("vertex", "gamma"):
         raise ValueError(f"unknown metric {metric!r}")
-    if not states or any(state.n != states[0].n for state in states):
-        raise ValueError("target_probabilities needs states, all of one n")
-    n = states[0].n
-    spec = WalkSpec(n=n, node_count=1 << n, target=0, variant=variant)
+    spec = WalkSpec(n=n, node_count=1 << n, target=0, variant=walk)
     kernels = _adjoint_kernels(spec, plan)
     if metric == "gamma":
         kernels = kernels.sum(axis=0, keepdims=True) / math.sqrt(n)
     spectrum = _fwht(kernels)
-    return np.array([
-        np.sum(np.abs(_fwht(spectrum * _fwht(state.amplitudes))
-                      / spec.node_count) ** 2, axis=0)
-        for state in states])
+    A = np.sum(spectrum ** 2, axis=0) / spec.node_count
+    B = (np.sum(spectrum * spectrum[:, ::-1], axis=0) / spec.node_count
+         if walk == OSKW else np.zeros_like(A))
+    for name, w in (("A", A), ("A + B", A + B)):
+        if not (-STRICT_TOL <= w.min() and w.max() <= 1.0 + STRICT_TOL):
+            raise InvariantViolation("probability range",
+                                     f"{name} spans [{w.min()!r}, {w.max()!r}]")
+    return A, B
+
+
+def walsh_average(weights: Tuple[np.ndarray, np.ndarray], state: NodeState) -> float:
+    """sum_s A(s) |psi^(s)|^2 + B(s) X(s) over the state's Walsh spectrum: one FWHT."""
+    A, B = weights
+    hat = _fwht(state.amplitudes) / math.sqrt(state.dim)
+    return float(A @ (hat.real ** 2 + hat.imag ** 2) + B @ (hat * hat[::-1].conj()).real)
 
 
 def project_even_parity(state: NodeState) -> Tuple[NodeState, float]:

@@ -406,6 +406,17 @@ def test_spec_n_refused_before_the_state_is_built(tmp_path, monkeypatch, capsys,
     assert "n must be <= 20 (walk size guard), got 21" in capsys.readouterr().err
 
 
+def test_oskw_size_refused_before_any_state_is_built(tmp_path, monkeypatch, capsys):
+    def never(n):
+        raise AssertionError("a start state was built")
+    monkeypatch.setattr("qwsearch.runners.make_even_uniform_node_state", never)
+    cfg = _write(tmp_path / "big.cfg",
+                 "experiment.id = big\nrun.variant = oskw\nrun.n = 20\n")
+    assert main(["run", cfg]) == 2
+    assert ("config error: run.variant = oskw: it walks n + 1 directions, so n "
+            "(run.n) must be <= 19 (walk size guard), got 20") in capsys.readouterr().err
+
+
 def test_member_n_refused_before_any_member_is_built(tmp_path, monkeypatch, capsys):
     def never(**kwargs):
         raise AssertionError("member built before its n was checked")

@@ -37,6 +37,28 @@ def test_production_modules_keep_out_of_the_oracle(module, allowed):
     assert _oracle_imports(module) == allowed
 
 
+_PRODUCTION = ("config", "states", "walk", "measures", "runners", "cli")
+_WALKER_NAMES = {"WalkerState", "compose_walker", "uniform_coin"}
+
+
+@pytest.mark.parametrize("module", _PRODUCTION)
+def test_production_modules_neither_define_nor_import_walker_types(module):
+    # the full coin (x) node walker serves the forward-walk oracle only
+    names = set()
+    for node in ast.walk(ast.parse((SRC / f"{module}.py").read_text())):
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name for alias in node.names)
+    assert names & _WALKER_NAMES == set()
+
+
+def test_cli_binds_no_runner_name():
+    # bench/spans.py wraps any qwsearch.cli.run_* it finds as a one-row runner
+    import qwsearch.cli
+    assert [name for name in vars(qwsearch.cli) if name.startswith("run_")] == []
+
+
 def test_layering_check_sees_oracle_imports():
     # the package root re-exports the oracle, so the check has something to find
     assert "evolve_dense" in _oracle_imports("__init__")

@@ -116,3 +116,17 @@ def test_xor_covariance_exact():
 def test_xor_covariance_rejects_odd_shift_for_parity_walk():
     with pytest.raises(ValueError):
         xor_covariance_deviation(4, 1, 0, OSKW)
+
+
+def test_oracle_suite_checks_the_production_p_avg(monkeypatch):
+    from qwsearch import runners
+    from qwsearch.oracle import oracle_suite
+
+    def route_checks():
+        return [(name, ok) for name, ok, _ in oracle_suite(7, 1, 0)
+                if name.startswith("p_avg route")]
+    assert route_checks() == [(f"p_avg route n={n}", True) for n in range(2, 6)]
+    average = runners.walsh_average
+    monkeypatch.setattr(runners, "walsh_average",
+                        lambda *args: average(*args) + 1e-11)
+    assert route_checks() == [(f"p_avg route n={n}", False) for n in range(2, 6)]

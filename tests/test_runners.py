@@ -16,11 +16,11 @@ from qwsearch import (OSKW, SKW, InvariantViolation, IterationPlan,
                       optimize_local_layer_detailed, pauli_layer,
                       predicted_probability, project_even_parity, run_oskw,
                       run_oskw1, run_skw, run_skw1, run_skw2, run_skw3,
-                      success_probability, target_probabilities,
-                      uniform_coin)
+                      success_probability, uniform_coin, walsh_average,
+                      walsh_weights)
 from qwsearch.cli import _cell, execute_config, parse_config, result_row
-from qwsearch import walk
-from qwsearch.runners import (VARIANTS, prepare_oskw1, prepare_skw1,
+from qwsearch import runners, walk
+from qwsearch.runners import (VARIANTS, PreparedRow, prepare_oskw1, prepare_skw1,
                               prepare_skw2_rows, prepare_skw3, run_skw2_rows,
                               walk_rows)
 
@@ -42,15 +42,18 @@ def test_skw_reference_point():
     assert res.variant == "skw"
     assert 0.4 <= res.p_avg <= 0.55
     assert res.abs_dev <= BOUND_N8
-    assert len(res.per_target) == 256
 
 
 @pytest.mark.parametrize("n", [11, 12])
 def test_skw_average_consistent_past_ten_directions(n):
-    # 2^n per-target values near 1/2 each: the average must not depend on
-    # the summation order
+    # from the flat start every marked vertex is found equally well, so the
+    # average over 2^n targets is any one target's forward walk
     res = run_skw(n)
-    assert res.p_avg == math.fsum(p for _, p in res.per_target) / 2 ** n
+    start = compose_walker(uniform_coin(n), make_uniform_node_state(n))
+    plan = IterationPlan.explicit(res.tau)
+    for tg in (0, 2 ** n - 1):
+        spec = WalkSpec(n=n, node_count=2 ** n, target=tg)
+        assert abs(res.p_avg - success_probability(evolve(start, spec, plan), tg)) <= 1e-12
     assert 0.4 <= res.p_avg <= 0.5
 
 
@@ -87,9 +90,6 @@ def test_skw1_mixed_linearity():
     pa = run_skw1(b0)
     pb = run_skw1(eta)
     assert abs(mixed.p_avg - (0.25 * pa.p_avg + 0.75 * pb.p_avg)) < 1e-12
-    for (_, m), (_, a), (_, b) in zip(mixed.per_target, pa.per_target,
-                                      pb.per_target):
-        assert abs(m - (0.25 * a + 0.75 * b)) < 1e-12
     assert mixed.resource.C_f is None  # basis-change fidelity is pure-state only
 
 
@@ -194,7 +194,6 @@ def test_oskw_reference_point():
     assert res.n == 9 and res.tau == 25
     assert res.p_avg >= 0.8
     assert res.leaked_weight == 0.0
-    assert len(res.per_target) == 256  # even vertices only
 
 
 def test_oskw1_projected_prediction():
@@ -208,6 +207,14 @@ def test_oskw1_even_basis_state():
     res = run_oskw1(make_basis_node_state(5, 0b00011))
     assert res.p_pred == pytest.approx(1 / 16, abs=1e-14)
     assert res.leaked_weight == 0
+
+
+def test_oskw_size_refused_before_any_state_is_built(monkeypatch):
+    def never(n):
+        raise AssertionError("a start state was built")
+    monkeypatch.setattr(runners, "make_even_uniform_node_state", never)
+    with pytest.raises(ValueError, match=r"n \(run.n\) must be <= 19"):
+        run_oskw(20)
 
 
 def test_oskw1_rejects_odd_support_and_tiny_walks():
@@ -234,51 +241,44 @@ def test_predicted_probability_table():
         predicted_probability("walk9", ResourceReport(f_c=1.0, C_f=None))
 
 
-def test_run_result_validation():
-    rep = ResourceReport(f_c=1.0, C_f=0.0)
-    with pytest.raises(InvariantViolation):
-        RunResult(variant="skw1", n=2, tau=1,
-                  per_target=((0, 0.5), (1, 0.5), (2, 0.5), (3, 0.5)),
-                  p_avg=0.7, p_pred=0.5, abs_dev=0.2, resource=rep, seed=0,
-                  wall_ms=1.0)
-    with pytest.raises(InvariantViolation):
-        RunResult(variant="skw1", n=2, tau=1,
-                  per_target=((0, 1.5), (1, 0.5), (2, 0.5), (3, 0.5)),
-                  p_avg=1.5, p_pred=0.5, abs_dev=1.0, resource=rep, seed=0,
-                  wall_ms=1.0)
+@pytest.mark.parametrize("field,value", [
+    ("p_avg", 1.5), ("p_avg", -1e-9), ("p_avg", math.nan),
+    ("p_pred", 1.5), ("p_pred", -1e-9),
+])
+def test_run_result_validation(field, value):
+    fields = dict(variant="skw1", n=2, tau=1, p_avg=0.5, p_pred=0.5, abs_dev=0.0,
+                  resource=ResourceReport(f_c=1.0, C_f=0.0), seed=0, wall_ms=1.0)
+    assert RunResult(**fields).p_avg == 0.5
+    with pytest.raises(InvariantViolation, match="probability range"):
+        RunResult(**{**fields, field: value})
 
 
-def test_run_result_checks_parity_walk_average():
-    # even targets of a 3-direction walk; p_avg is the mean over the targets
-    rep = ResourceReport(f_c=0.5, C_f=0.5)
+def _admitted(n, variant):
+    return [t for t in range(2 ** n) if variant == SKW or t.bit_count() % 2 == 0]
 
-    def make(per_target, p):
-        return RunResult(variant="oskw1", n=3, tau=2, per_target=per_target,
-                         p_avg=p, p_pred=0.5, abs_dev=abs(p - 0.5),
-                         resource=rep, seed=0, wall_ms=1.0, leaked_weight=0.1)
-    per_target = ((0, 0.5), (3, 0.25), (5, 0.75), (6, 0.5))
-    assert make(per_target, 0.5).p_avg == 0.5
-    with pytest.raises(InvariantViolation):
-        make(per_target, 0.5 + 1e-6)
-    with pytest.raises(ValueError, match="at least one target"):
-        make((), 0.5)
+
+def _dense_mean(node, plan, variant, metric):
+    """Mean over the admitted targets of one dense-matrix walk each."""
+    n, targets = node.n, _admitted(node.n, variant)
+    start = compose_walker(uniform_coin(n), node)
+    return math.fsum(
+        success_probability(evolve_dense(start, WalkSpec(n=n, node_count=2 ** n,
+                                                         target=tg, variant=variant),
+                                         plan), tg, metric)
+        for tg in targets) / len(targets)
 
 
 @pytest.mark.parametrize("metric", ["vertex", "gamma"])
-@pytest.mark.parametrize("tau", [0, 7])
+@pytest.mark.parametrize("tau", [0, 7, None])
 @pytest.mark.parametrize("n", [3, 5])
-def test_per_target_matches_dense_oracle(n, tau, metric):
-    N = 2 ** n
-    plan = IterationPlan.explicit(tau)
-    s = make_random_node_state(n, seed=10 * n + tau)
+def test_p_avg_matches_dense_oracle(n, tau, metric):
+    plan = None if tau is None else IterationPlan.explicit(tau)
+    s = make_random_node_state(n, seed=10 * n + (1 if tau is None else tau))
     projected, _ = project_even_parity(s)
-    for run, node, variant in ((run_skw1, s, "skw"), (run_oskw1, projected, "oskw")):
+    for run, node, variant in ((run_skw1, s, SKW), (run_oskw1, projected, OSKW)):
         res = run(s, plan, metric=metric)
-        start = compose_walker(uniform_coin(n), node)
-        for tg, p in res.per_target:
-            spec = WalkSpec(n=n, node_count=N, target=tg, variant=variant)
-            ref = success_probability(evolve_dense(start, spec, plan), tg, metric)
-            assert abs(p - ref) <= 1e-12
+        ref = _dense_mean(node, IterationPlan.explicit(res.tau), variant, metric)
+        assert abs(res.p_avg - ref) <= 1e-12
 
 
 def _forward_probs(node, plan, variant, metric, targets):
@@ -291,24 +291,44 @@ def _forward_probs(node, plan, variant, metric, targets):
         for tg in targets])
 
 
+def _forward_mean(node, plan, variant, metric):
+    """The reference average: one forward walk per admitted target."""
+    targets = _admitted(node.n, variant)
+    return math.fsum(_forward_probs(node, plan, variant, metric, targets)) / len(targets)
+
+
 @pytest.mark.parametrize("metric", ["vertex", "gamma"])
-@pytest.mark.parametrize("variant,tau", [(SKW, 0), (SKW, None), (OSKW, 0),
+@pytest.mark.parametrize("variant,tau", [(SKW, 0), (SKW, 13), (SKW, None), (OSKW, 0),
                                          (OSKW, 13), (OSKW, None)])
 @pytest.mark.parametrize("n", [6, 8])
 def test_engine_matches_forward_walk(n, variant, tau, metric):
     node = make_random_node_state(n, seed=100 + n)
     if variant == OSKW:
         node, _ = project_even_parity(node)
-        targets = np.array([t for t in range(2 ** n) if t.bit_count() % 2 == 0])
         plan = IterationPlan.oskw_optimal(2 ** n)
     else:
-        targets = np.arange(2 ** n)
         plan = IterationPlan.skw_optimal(n)
     if tau is not None:   # odd tau: the two-shift walk drops the leftover round
         plan = IterationPlan.explicit(tau)
-    got = target_probabilities([node], plan, variant, metric)[0][targets]
-    ref = _forward_probs(node, plan, variant, metric, targets)
-    assert np.max(np.abs(got - ref)) <= 1e-12
+    got = walsh_average(walsh_weights(n, plan, variant, metric), node)
+    assert abs(got - _forward_mean(node, plan, variant, metric)) <= 1e-12
+
+
+@pytest.mark.parametrize("metric", ["vertex", "gamma"])
+@pytest.mark.parametrize("tau", [13, None])
+@pytest.mark.parametrize("n", [6, 7])
+def test_unprojected_two_shift_row_matches_even_target_mean(n, tau, metric):
+    # odd-parity weight left in: only the complement-paired term B keeps the
+    # average over even targets exact; two shifts per step keep the odd part
+    # off the even targets, so the projected run scaled by the kept weight agrees
+    node = make_random_node_state(n, seed=200 + n)
+    row = PreparedRow("oskw1", OSKW, node, ResourceReport(f_c=0.5, C_f=None), 0, 0.0)
+    res = walk_rows([row], None if tau is None else IterationPlan.explicit(tau),
+                    metric)[0]
+    ref = _forward_mean(node, IterationPlan.explicit(res.tau), OSKW, metric)
+    assert abs(res.p_avg - ref) <= 1e-12
+    projected = run_oskw1(node, IterationPlan.explicit(res.tau), metric=metric)
+    assert abs(res.p_avg - (1 - projected.leaked_weight) * projected.p_avg) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [6, 8])
@@ -317,8 +337,7 @@ def test_runners_match_forward_walk_on_walked_states(n):
     targets = np.arange(2 ** n)
 
     def deviation(res, ref):
-        assert [tg for tg, _ in res.per_target] == list(targets)
-        return np.max(np.abs(np.array([p for _, p in res.per_target]) - ref))
+        return abs(res.p_avg - math.fsum(ref) / len(ref))
 
     members = [make_random_node_state(n, seed=1), make_ghz_node_state(n, 0.3),
                make_tilted_node_state(n, 0.7)]

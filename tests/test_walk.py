@@ -9,7 +9,7 @@ from qwsearch import (OSKW, SKW, IterationPlan, WalkSpec,
                       evolve, evolve_dense, make_basis_node_state,
                       make_uniform_node_state,
                       project_even_parity, success_probability,
-                      target_probabilities, uniform_coin)
+                      uniform_coin, walsh_weights)
 from qwsearch import walk
 from qwsearch.config import WALK_GUARD_N
 
@@ -260,8 +260,7 @@ def test_conservation_guard_trips(monkeypatch):
     with pytest.raises(InvariantViolation):
         evolve(w, spec, IterationPlan.explicit(10))
     with pytest.raises(InvariantViolation, match="walker norm conservation"):
-        target_probabilities([make_uniform_node_state(5)],
-                             IterationPlan.explicit(10), SKW, "vertex")
+        walsh_weights(5, IterationPlan.explicit(10), SKW, "vertex")
 
 
 def test_walk_size_guard():
@@ -273,55 +272,41 @@ def test_walk_size_guard():
 
 def test_engine_rejects_unknown_metric():
     with pytest.raises(ValueError, match="unknown metric"):
-        target_probabilities([make_uniform_node_state(3)],
-                             IterationPlan.explicit(2), SKW, "edge")
-
-
-def _one_state_reference(state, plan, variant, metric):
-    """The one-state engine formula: kernels, their transform, the state's."""
-    spec = _spec(state.n, variant=variant)
-    kernels = walk._adjoint_kernels(spec, plan)
-    if metric == "gamma":
-        kernels = kernels.sum(axis=0, keepdims=True) / math.sqrt(state.n)
-    amps = walk._fwht(walk._fwht(kernels) * walk._fwht(state.amplitudes)) / 2 ** state.n
-    return np.sum(np.abs(amps) ** 2, axis=0)
+        walsh_weights(3, IterationPlan.explicit(2), SKW, "edge")
 
 
 @pytest.mark.parametrize("metric", ["vertex", "gamma"])
-@pytest.mark.parametrize("variant", [SKW, OSKW])
-@pytest.mark.parametrize("n", [3, 5, 8])
-def test_state_list_is_bit_identical_to_one_state_calls(n, variant, metric):
-    from qwsearch import make_ghz_node_state, make_random_node_state
-    states = [make_random_node_state(n, seed) for seed in range(3)]
-    states += [make_uniform_node_state(n), make_ghz_node_state(n, 0.3)]
-    if variant == OSKW:
-        states = [project_even_parity(s)[0] for s in states]
-        plan = IterationPlan.oskw_optimal(2 ** n)
-    else:
-        plan = IterationPlan.skw_optimal(n)
-    got = target_probabilities(states, plan, variant, metric)
-    assert got.shape == (len(states), 2 ** n)
-    for row, state in zip(got, states):
-        assert np.array_equal(row, target_probabilities([state], plan, variant,
-                                                        metric)[0])
-        assert np.array_equal(row, _one_state_reference(state, plan, variant, metric))
+@pytest.mark.parametrize("n", [3, 8])
+def test_walsh_weights_are_averages(n, metric):
+    # A is a Walsh mode's target average, A + B an even pair's; no pairing
+    # term for the plain walk, and B = A for the parity-keeping two-shift walk
+    A, B = walsh_weights(n, IterationPlan.skw_optimal(n), SKW, metric)
+    assert A.shape == (2 ** n,) and np.array_equal(B, np.zeros(2 ** n))
+    assert 0.0 <= A.min() and A.max() <= 1.0
+    A, B = walsh_weights(n, IterationPlan.oskw_optimal(2 ** n), OSKW, metric)
+    assert np.max(np.abs(B - A)) <= 1e-15
+    assert 0.0 <= A.min() and (A + B).max() <= 1.0
 
 
-@pytest.mark.parametrize("states", [[], [3, 4], [4, 4, 3]])
-def test_state_list_refused_before_any_kernel_build(monkeypatch, states):
-    def no_build(*args):
-        raise AssertionError("a kernel was built")
-    monkeypatch.setattr(walk, "_adjoint_kernels", no_build)
-    with pytest.raises(ValueError, match="all of one n"):
-        target_probabilities([make_uniform_node_state(n) for n in states],
-                             IterationPlan.explicit(2), SKW, "vertex")
+@pytest.mark.parametrize("variant,tau,fragment", [
+    (SKW, 5, "A spans"), (OSKW, 13, "A \\+ B spans"),
+])
+def test_walsh_weight_range_check_trips(monkeypatch, variant, tau, fragment):
+    from qwsearch import InvariantViolation
+    plan = IterationPlan.explicit(tau)
+    A, B = walsh_weights(6, plan, variant, "vertex")
+    # scaled so that max(A + B) just passes 1; the two-shift walk's A stays below
+    scale = math.sqrt(1.01 / (A + B).max())
+    build = walk._adjoint_kernels
+    monkeypatch.setattr(walk, "_adjoint_kernels", lambda *args: scale * build(*args))
+    with pytest.raises(InvariantViolation, match=fragment):
+        walsh_weights(6, plan, variant, "vertex")
 
 
-def test_state_list_builds_one_kernel_set(monkeypatch):
+def test_walsh_weights_build_one_kernel_set(monkeypatch):
     builds = []
     build = walk._adjoint_kernels
     monkeypatch.setattr(walk, "_adjoint_kernels",
                         lambda *args: builds.append(args) or build(*args))
-    states = [make_basis_node_state(4, i) for i in range(6)]
-    target_probabilities(states, IterationPlan.explicit(3), SKW, "gamma")
+    walsh_weights(4, IterationPlan.explicit(3), OSKW, "gamma")
     assert len(builds) == 1
