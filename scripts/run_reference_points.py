@@ -7,7 +7,8 @@ Parity-restricted walk: base size 8, so 9 directions on 512 vertices.
 import argparse
 import time
 
-from qwsearch import run_oskw, run_skw
+from qwsearch import (make_even_uniform_node_state, make_uniform_node_state,
+                      prepare_oskw1, prepare_skw1, walk_rows)
 
 
 def main() -> int:
@@ -17,8 +18,8 @@ def main() -> int:
     args = ap.parse_args()
 
     t0 = time.perf_counter()
-    plain = run_skw(args.n)
-    two_shift = run_oskw(args.n)
+    (plain,) = walk_rows([prepare_skw1(make_uniform_node_state(args.n))])
+    (two_shift,) = walk_rows([prepare_oskw1(make_even_uniform_node_state(args.n + 1))])
     wall = time.perf_counter() - t0
 
     print(f"{'walk':<12} {'dirs':>4} {'targets':>8} {'steps':>5} "

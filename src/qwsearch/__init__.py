@@ -24,8 +24,7 @@ from .measures import (LocalLayer, ResourceReport, best_pauli_basis,
                        optimize_local_layer_detailed, pauli_layer)
 from .runners import (PreparedRow, RunResult, predicted_probability,
                       prepare_oskw1, prepare_skw1, prepare_skw2_rows,
-                      prepare_skw3, run_oskw, run_oskw1, run_skw, run_skw1,
-                      run_skw2, run_skw2_rows, run_skw3, walk_rows)
+                      prepare_skw3, walk_rows)
 from .oracle import (DenseOperator, WalkerState, build_dense_evolution,
                      compose_walker, enumerate_pauli_layers, evolve,
                      evolve_dense, grid_product_overlap, success_probability,
@@ -48,9 +47,7 @@ __all__ = [
     "groverian_entanglement", "hadamard_layer", "identity_layer",
     "optimize_local_layer_detailed", "pauli_layer",
     "PreparedRow", "RunResult", "predicted_probability", "prepare_oskw1",
-    "prepare_skw1", "prepare_skw2_rows", "prepare_skw3", "run_oskw",
-    "run_oskw1", "run_skw", "run_skw1", "run_skw2", "run_skw2_rows",
-    "run_skw3", "walk_rows",
+    "prepare_skw1", "prepare_skw2_rows", "prepare_skw3", "walk_rows",
     "DenseOperator", "WalkerState", "build_dense_evolution", "compose_walker",
     "evolve", "evolve_dense", "grid_product_overlap", "success_probability",
     "uniform_coin", "verify_theorem_identities", "xor_covariance_deviation",

@@ -260,7 +260,7 @@ def parse_config(text: str) -> ExperimentConfig:
             readers = [v for v, spec in VARIANTS.items() if name in spec.takes]
             raise ConfigError(f"run.{name} applies to {', '.join(readers)} only, "
                               f"not run.variant = {variant}")
-    if "state" not in takes:
+    if VARIANTS[variant].start is not None:
         for key in kv:
             if key.startswith("state."):
                 raise ConfigError(f"{key}: run.variant = {variant} builds its "
@@ -421,11 +421,11 @@ def _cell(value) -> str:
     return str(value)
 
 
-def result_row(experiment_id: str, result: RunResult, seed: int) -> Dict[str, object]:
+def result_row(experiment_id: str, result: RunResult) -> Dict[str, object]:
     r = result.resource
     row = {
         "experiment_id": experiment_id, "variant": result.variant,
-        "n": result.n, "tau": result.tau, "seed": seed,
+        "n": result.n, "tau": result.tau, "seed": result.seed,
         "f_c": r.f_c, "E_g": r.E_g, "C_f": r.C_f,
         "p_avg": result.p_avg, "p_pred": result.p_pred,
         "abs_dev": result.abs_dev, "leaked_weight": result.leaked_weight,
@@ -490,20 +490,22 @@ def write_summary(path: str, config_echo: Mapping[str, str],
 # subcommands
 
 def _run_rows(cfg: ExperimentConfig, states: Iterable, plan) -> Iterator[RunResult]:
-    """One sweep value's rows, in seed order: one call of the variant's
-    row-group runner if it has one, else one runner call per row as its state
-    arrives. A runner's ValueError is a config fault."""
+    """One sweep value's rows, in seed order: prepare, relabel to the config's
+    variant, walk. A prepare step that takes the whole group (skw2's optimizer
+    pool) walks it as one group; the others walk each row as its state
+    arrives. A ValueError from either step is a config fault."""
     variant = VARIANTS[cfg.variant]
+    inputs = {"restarts": cfg.restarts, "measure_entanglement": cfg.measure_entanglement}
+    kwargs = {name: inputs[name] for name in variant.takes}
     try:
-        if variant.rows is not None:
-            yield from variant.rows(list(states), cfg.seeds, plan, cfg.restarts,
-                                    metric=cfg.metric)
-            return
-        for state, seed in zip(states, cfg.seeds):
-            inputs = {"n": cfg.n, "state": state, "seed": seed, "restarts": cfg.restarts,
-                      "measure_entanglement": cfg.measure_entanglement}
-            yield variant.run(plan=plan, metric=cfg.metric,
-                              **{name: inputs[name] for name in variant.takes})
+        if variant.pooled:
+            groups = [variant.prepare(list(states), cfg.seeds, **kwargs)]
+        else:
+            groups = ([variant.prepare(state, seed, **kwargs)]
+                      for state, seed in zip(states, cfg.seeds))
+        for rows in groups:
+            yield from walk_rows([row._replace(variant=cfg.variant) for row in rows],
+                                 plan, cfg.metric)
     except ConfigError:
         raise
     except ValueError as exc:
@@ -513,17 +515,17 @@ def _run_rows(cfg: ExperimentConfig, states: Iterable, plan) -> Iterator[RunResu
 def execute_config(cfg: ExperimentConfig) -> List[Dict[str, object]]:
     """All rows for one config, in deterministic config order."""
     plan = None if cfg.tau is None else IterationPlan.explicit(cfg.tau)
-    needs_state = "state" in VARIANTS[cfg.variant].takes
+    start = VARIANTS[cfg.variant].start
     # _check_params leaves at most one list: no family takes two floats
     sweep_values = next((v for v in cfg.family_params.values()
                          if isinstance(v, list)), [None])
 
     rows = []
     for value in sweep_values:
-        states = (_config_state(cfg, seed, value) if needs_state else None
+        states = (start(cfg.n) if start else _config_state(cfg, seed, value)
                   for seed in cfg.seeds)
-        rows += [result_row(cfg.experiment_id, result, seed)
-                 for seed, result in zip(cfg.seeds, _run_rows(cfg, states, plan))]
+        rows += [result_row(cfg.experiment_id, result)
+                 for result in _run_rows(cfg, states, plan)]
     return rows
 
 
@@ -551,9 +553,9 @@ def _cmd_sweep(args) -> int:
     for alpha in np.linspace(0.0, math.pi / 4.0, args.samples):
         prepared += prepare_skw2_rows([make_ghz_node_state(n, float(alpha))],
                                       [args.seed], args.restarts)
-    prepared += [prepare_skw3(make_tilted_node_state(n, float(s)))
+    prepared += [prepare_skw3(make_tilted_node_state(n, float(s)), seed=args.seed)
                  for s in np.linspace(1.0 / (1 << n), 1.0, args.samples)]
-    rows = [result_row(f"fig4-{res.variant}-{k % args.samples:02d}", res, args.seed)
+    rows = [result_row(f"fig4-{res.variant}-{k % args.samples:02d}", res)
             for k, res in enumerate(walk_rows(prepared))]
 
     out_dir = os.path.abspath(args.out or os.environ.get(OUT_ENV, "") or ".")

@@ -18,7 +18,7 @@ class InvariantViolation(RuntimeError):
 
 # tolerances
 NORM_TOL = 1e-10          # state normalization at construction
-CONSERVATION_TOL = 1e-10  # walker norm drift allowed per evolution step
+CONSERVATION_TOL = 1e-10  # walker norm's drift from 1 over a walk, checked every step
 UNITARY_TOL = 1e-12       # 2x2 factors and dense operators
 STRICT_TOL = 1e-12        # exact-identity comparisons
 OVERLAP_TOL = 1e-12       # optimizer convergence threshold per sweep

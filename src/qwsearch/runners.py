@@ -1,11 +1,13 @@
 """End-to-end search runs for every algorithm variant.
 
-Each variant's prepare step makes a row: the state it walks and its
-resource report. One shared body, `walk_rows`, builds the state-independent
-Walsh weights of a group of rows of one n once (`walk.walsh_weights`),
-reads each row's target average off one Walsh transform per walked state
+A variant is its prepare step: it turns a start state into a row, the state
+it walks and its resource report. `skw` and `oskw` build their own start
+state from run.n and share `skw1`'s and `oskw1`'s steps. One body,
+`walk_rows`, walks every row: it builds the state-independent Walsh
+weights of a group of rows of one n once (`walk.walsh_weights`), reads each
+row's target average off one Walsh transform per walked state
 (`walk.walsh_average`) and reports it next to its closed-form prediction.
-Each variant's inputs and closed form live in `VARIANTS`:
+Each variant's prepare step, inputs and closed form live in `VARIANTS`:
 
     skw, skw1 -> f_c / 2         skw2 -> (1 - E_g^2) / 2
     skw3      -> (1 - C_f^2) / 2 oskw, oskw1 -> f_c (even subspace)
@@ -89,8 +91,7 @@ def walk_rows(rows: Sequence[PreparedRow], plan: Optional[IterationPlan] = None,
                        for r in rows):
         raise ValueError("a row group needs rows, all of one n and one walk")
     n, walk = rows[0].walked.n, rows[0].walk
-    plan = plan or (IterationPlan.skw_optimal(n) if walk == SKW
-                    else IterationPlan.oskw_optimal(1 << n))
+    plan = plan or IterationPlan.optimal(n)
     members = [r.walked.members if isinstance(r.walked, MixedEnsemble)
                else ((1.0, r.walked),) for r in rows]
     t0 = time.perf_counter()
@@ -111,7 +112,7 @@ def walk_rows(rows: Sequence[PreparedRow], plan: Optional[IterationPlan] = None,
 
 
 # ---------------------------------------------------------------------------
-# runners: prepare_* makes a row, run_* walks it alone
+# prepare steps: each makes a variant's rows, which walk_rows walks
 
 def prepare_skw1(state: StateLike, seed: int = 0, measure_entanglement: bool = False,
                  restarts: Optional[int] = None) -> PreparedRow:
@@ -125,22 +126,6 @@ def prepare_skw1(state: StateLike, seed: int = 0, measure_entanglement: bool = F
         resource = ResourceReport(f_c=coherence_fraction(state),
                                   C_f=fidelity_coherence(state))
     return PreparedRow("skw1", SKW, state, resource, seed, time.perf_counter() - t0)
-
-
-def run_skw1(state: StateLike, plan: Optional[IterationPlan] = None, *,
-             seed: int = 0, measure_entanglement: bool = False,
-             restarts: Optional[int] = None,
-             metric: str = "vertex") -> RunResult:
-    """Walk the state as supplied, or each mixture member; prediction f_c / 2."""
-    return walk_rows([prepare_skw1(state, seed, measure_entanglement, restarts)],
-                     plan, metric)[0]
-
-
-def run_skw(n: int, plan: Optional[IterationPlan] = None, *,
-            metric: str = "vertex") -> RunResult:
-    """The original algorithm: uniform start state."""
-    return dataclasses.replace(
-        run_skw1(make_uniform_node_state(n), plan, metric=metric), variant="skw")
 
 
 def prepare_skw2_rows(states: Sequence[NodeState], seeds: Sequence[int],
@@ -157,21 +142,7 @@ def prepare_skw2_rows(states: Sequence[NodeState], seeds: Sequence[int],
     return rows
 
 
-def run_skw2_rows(states: Sequence[NodeState], seeds: Sequence[int],
-                  plan: Optional[IterationPlan] = None, restarts: Optional[int] = None,
-                  *, metric: str = "vertex") -> List[RunResult]:
-    """run_skw2 on states of one n: one optimizer pool, one walk call."""
-    return walk_rows(prepare_skw2_rows(states, seeds, restarts), plan, metric)
-
-
-def run_skw2(state: NodeState, plan: Optional[IterationPlan] = None,
-             restarts: Optional[int] = None, seed: int = 0, *,
-             metric: str = "vertex") -> RunResult:
-    """Best local-unitary layer first, then the walk; prediction (1 - E_g^2)/2."""
-    return run_skw2_rows([state], [seed], plan, restarts, metric=metric)[0]
-
-
-def prepare_skw3(state: NodeState) -> PreparedRow:
+def prepare_skw3(state: NodeState, seed: int = 0) -> PreparedRow:
     """The state under its best Pauli layer, then a Hadamard on every qubit.
     The best layer is the closed form: it sends the largest basis weight to
     |0...0>, which attains the maximum over all 3^n layers (checked
@@ -184,13 +155,8 @@ def prepare_skw3(state: NodeState) -> PreparedRow:
                                     hadamard_layer(state.n))
     resource = ResourceReport(f_c=coherence_fraction(state),
                               C_f=fidelity_coherence(state))
-    return PreparedRow("skw3", SKW, transformed, resource, 0, time.perf_counter() - t0)
-
-
-def run_skw3(state: NodeState, plan: Optional[IterationPlan] = None, *,
-             metric: str = "vertex") -> RunResult:
-    """prepare_skw3's state walked; prediction (1 - C_f^2)/2 = max_i |a_i|^2 / 2."""
-    return walk_rows([prepare_skw3(state)], plan, metric)[0]
+    return PreparedRow("skw3", SKW, transformed, resource, seed,
+                       time.perf_counter() - t0)
 
 
 def prepare_oskw1(state: NodeState, seed: int = 0, measure_entanglement: bool = False,
@@ -209,50 +175,43 @@ def prepare_oskw1(state: NodeState, seed: int = 0, measure_entanglement: bool = 
                        time.perf_counter() - t0, leaked)
 
 
-def run_oskw1(state: NodeState, plan: Optional[IterationPlan] = None, *,
-              seed: int = 0, measure_entanglement: bool = False,
-              restarts: Optional[int] = None, metric: str = "vertex") -> RunResult:
-    """Two-shift optimized walk on the even-parity subspace, over even targets."""
-    return walk_rows([prepare_oskw1(state, seed, measure_entanglement, restarts)],
-                     plan, metric)[0]
-
-
-def run_oskw(n: int, plan: Optional[IterationPlan] = None, *,
-             metric: str = "vertex") -> RunResult:
-    """The optimized algorithm proper: even equal superposition one
-    dimension above the n-bit search problem."""
+def _even_flat_above(n: int) -> NodeState:
+    """oskw's start: the even equal superposition one dimension above the
+    n-bit search problem, refused past the walk size guard before it is built."""
     if n >= WALK_GUARD_N:
         raise ValueError(f"it walks n + 1 directions, so n (run.n) must be <= "
                          f"{WALK_GUARD_N - 1} (walk size guard), got {n}")
-    state = make_even_uniform_node_state(n + 1)
-    return dataclasses.replace(run_oskw1(state, plan, metric=metric),
-                               variant="oskw")
+    return make_even_uniform_node_state(n + 1)
 
 
 class Variant(NamedTuple):
-    """A runner, the keywords it takes besides `plan` and `metric` (without
-    `state` it builds its own start state), the report field `predict`
-    reads, the constant of the deviation bound envelope / sqrt(2^n), and
-    the runner that takes a row group's states and seeds at once, if any."""
+    """A prepare step and the keywords it takes besides the start state(s) and
+    seed(s); whether it takes a whole row group's states and seeds at once
+    (one optimizer pool) rather than one row's; the start state it builds from
+    run.n, if it takes none; the report field `predict` reads; and the
+    constant of the deviation bound envelope / sqrt(2^n)."""
 
-    run: Callable[..., RunResult]
+    prepare: Callable[..., object]
     takes: Tuple[str, ...]
+    pooled: bool
+    start: Optional[Callable[[int], NodeState]]
     measure: str
     predict: Callable[[float], float]
     envelope: float
-    rows: Optional[Callable[..., List[RunResult]]] = None
 
 
 # calibrated O(1/sqrt(N)) envelopes: 3 for the plain walk's vertex count,
 # 6 for the two-shift walk's
 VARIANTS: Dict[str, Variant] = {
-    "skw": Variant(run_skw, ("n",), "f_c", lambda f_c: f_c / 2.0, 3.0),
-    "skw1": Variant(run_skw1, ("state", "seed", "measure_entanglement", "restarts"),
+    "skw": Variant(prepare_skw1, (), False, make_uniform_node_state,
+                   "f_c", lambda f_c: f_c / 2.0, 3.0),
+    "skw1": Variant(prepare_skw1, ("measure_entanglement", "restarts"), False, None,
                     "f_c", lambda f_c: f_c / 2.0, 3.0),
-    "skw2": Variant(run_skw2, ("state", "seed", "restarts"),
-                    "E_g", lambda e: (1.0 - e * e) / 2.0, 3.0, run_skw2_rows),
-    "skw3": Variant(run_skw3, ("state",), "C_f", lambda c: (1.0 - c * c) / 2.0, 3.0),
-    "oskw": Variant(run_oskw, ("n",), "f_c", float, 6.0),
-    "oskw1": Variant(run_oskw1, ("state", "seed", "measure_entanglement", "restarts"),
+    "skw2": Variant(prepare_skw2_rows, ("restarts",), True, None,
+                    "E_g", lambda e: (1.0 - e * e) / 2.0, 3.0),
+    "skw3": Variant(prepare_skw3, (), False, None,
+                    "C_f", lambda c: (1.0 - c * c) / 2.0, 3.0),
+    "oskw": Variant(prepare_oskw1, (), False, _even_flat_above, "f_c", float, 6.0),
+    "oskw1": Variant(prepare_oskw1, ("measure_entanglement", "restarts"), False, None,
                      "f_c", float, 6.0),
 }

@@ -82,14 +82,10 @@ class IterationPlan:
         return cls(tau)
 
     @classmethod
-    def skw_optimal(cls, n: int) -> "IterationPlan":
-        """tau = round((pi/2) sqrt(2**(n-1))) for the plain walk on n directions."""
+    def optimal(cls, n: int) -> "IterationPlan":
+        """tau = round((pi/2) sqrt(2**(n-1))) shift rounds on n directions: the
+        plain walk's step count, and the two-shift walk's on 2**n vertices."""
         return cls(round((math.pi / 2.0) * math.sqrt(2.0 ** (n - 1))))
-
-    @classmethod
-    def oskw_optimal(cls, node_count: int) -> "IterationPlan":
-        """tau = round((pi/(2 sqrt 2)) sqrt(node_count)) shift rounds."""
-        return cls(round((math.pi / (2.0 * math.sqrt(2.0))) * math.sqrt(node_count)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,11 +17,12 @@ from qwsearch import (IterationPlan, MixedEnsemble, NodeState, WalkSpec,
                       build_dense_evolution, compose_walker,
                       enumerate_pauli_layers, evolve, evolve_dense,
                       grid_product_overlap, groverian_entanglement,
-                      make_basis_node_state, make_ghz_node_state,
-                      make_random_node_state, make_tilted_node_state,
-                      make_uniform_node_state, optimize_local_layer_detailed,
-                      predicted_probability, run_oskw, run_oskw1, run_skw,
-                      run_skw1, run_skw2, run_skw3, uniform_coin,
+                      make_basis_node_state, make_even_uniform_node_state,
+                      make_ghz_node_state, make_random_node_state,
+                      make_tilted_node_state, make_uniform_node_state,
+                      optimize_local_layer_detailed, predicted_probability,
+                      prepare_oskw1, prepare_skw1, prepare_skw2_rows,
+                      prepare_skw3, uniform_coin, walk_rows,
                       xor_covariance_deviation)
 from qwsearch.cli import main as cli_main
 
@@ -45,9 +46,9 @@ def _product_state(n, seed):
 def test_criterion_01_reference_walk(capsys):
     """Plain walk at 256 vertices lands near the half-probability plateau."""
     t0 = time.perf_counter()
-    first = run_skw(8)
+    (first,) = walk_rows([prepare_skw1(make_uniform_node_state(8))])
     wall = time.perf_counter() - t0
-    second = run_skw(8)
+    (second,) = walk_rows([prepare_skw1(make_uniform_node_state(8))])
     dev = abs(first.p_avg - 0.5)
     stable = abs(first.p_avg - second.p_avg)
     ok = (first.tau == 18 and dev <= BOUND_N8 and stable <= 1e-12
@@ -66,8 +67,8 @@ def test_criterion_02_coherence_rate_scaling(capsys):
     t0 = time.perf_counter()
     max_dev = {}
     for n in (8, 10):
-        devs = [run_skw1(make_random_node_state(n, seed)).abs_dev
-                for seed in range(100)]
+        devs = [res.abs_dev for res in walk_rows(
+            [prepare_skw1(make_random_node_state(n, seed)) for seed in range(100)])]
         max_dev[n] = max(devs)
     wall = time.perf_counter() - t0
     ratio = max_dev[10] / max_dev[8]
@@ -87,8 +88,9 @@ def test_criterion_03_mixed_state_linearity(capsys):
     members = ((0.2, make_basis_node_state(n, 3)),
                (0.3, make_ghz_node_state(n)),
                (0.5, make_random_node_state(n, 17)))
-    mixed = run_skw1(MixedEnsemble(members))
-    weighted = sum(w * run_skw1(s).p_avg for w, s in members)
+    (mixed,) = walk_rows([prepare_skw1(MixedEnsemble(members))])
+    weighted = sum(w * res.p_avg for (w, _), res in
+                   zip(members, walk_rows([prepare_skw1(s) for _, s in members])))
     lin_dev = abs(mixed.p_avg - weighted)
     ok = lin_dev <= 1e-12 and mixed.abs_dev <= BOUND_N8
     _line(capsys, 3, "mixed-state linearity", ok,
@@ -127,9 +129,8 @@ def test_criterion_05_entanglement_limited_rate(capsys):
     n = 8
     states = [_product_state(n, 5), make_ghz_node_state(n)]
     states += [make_random_node_state(n, seed) for seed in range(20)]
-    worst = 0.0
-    for k, s in enumerate(states):
-        worst = max(worst, run_skw2(s, seed=k).abs_dev)
+    worst = max(res.abs_dev for res in
+                walk_rows(prepare_skw2_rows(states, list(range(len(states))))))
     ok = worst <= BOUND_N8
     _line(capsys, 5, "entanglement-limited rate", ok,
           f"worst |p_avg - (1-E_g^2)/2| = {worst:.5f} <= {BOUND_N8:.4f} "
@@ -160,7 +161,7 @@ def test_criterion_07_coherence_limited_rate(capsys):
     cases = [make_basis_node_state(n, 37), make_uniform_node_state(n),
              make_tilted_node_state(n, 0.5)]
     cases += [make_random_node_state(n, seed) for seed in range(3)]
-    results = [run_skw3(s) for s in cases]
+    results = walk_rows([prepare_skw3(s) for s in cases])
     worst = max(r.abs_dev for r in results)
     endpoints = (results[0].p_pred == 0.5
                  and abs(results[1].p_pred - 1 / 512) < 1e-15)
@@ -201,12 +202,10 @@ def test_criterion_08_measure_ordering(capsys):
 
 def test_criterion_09_parity_restricted_walk(capsys):
     """Two-shift walk clears 0.8 from the even-flat start and tracks overlap."""
-    base = run_oskw(8)
-    worst = 0.0
+    (base,) = walk_rows([prepare_oskw1(make_even_uniform_node_state(9))])
     projectable = [make_random_node_state(9, seed) for seed in range(6)]
     projectable += [make_ghz_node_state(9), make_tilted_node_state(9, 0.5)]
-    for k, s in enumerate(projectable):
-        worst = max(worst, run_oskw1(s).abs_dev)
+    worst = max(res.abs_dev for res in walk_rows([prepare_oskw1(s) for s in projectable]))
     bound = 6 / math.sqrt(512)
     ok = base.tau == 25 and base.p_avg >= 0.8 and worst <= bound
     _line(capsys, 9, "parity-restricted walk", ok,

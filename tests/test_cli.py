@@ -474,6 +474,15 @@ def test_readme_config_block_parses():
     assert cli._KNOWN_KEYS <= named, sorted(cli._KNOWN_KEYS - named)
 
 
+def test_readme_python_quickstart_runs(capsys):
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(path, encoding="utf-8") as fh:
+        section = fh.read().split("## Quickstart (Python)", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.count("\n") == block.count("print(")
+
+
 def test_verify_passes(capsys):
     assert main(["verify", "--max-n", "3", "--trials", "4"]) == 0
     out = capsys.readouterr().out
@@ -564,21 +573,79 @@ def test_config_kernel_builds(tmp_path, monkeypatch, variant, family, seeds, exp
 @pytest.mark.parametrize("n", [5, 9])
 def test_sweep_fig4_matches_one_row_runners(tmp_path, n):
     from qwsearch import (make_ghz_node_state, make_interpolated_node_state,
-                          make_tilted_node_state, run_skw1, run_skw2, run_skw3)
+                          make_tilted_node_state, prepare_skw1, prepare_skw2_rows,
+                          prepare_skw3, walk_rows)
     samples, seed = 4, 2
     assert main(["sweep-fig4", "--n", str(n), "--samples", str(samples),
                  "--seed", str(seed), "--out", str(tmp_path)]) == 0
     rows = _read_rows(tmp_path / "sweep_fig4.csv")
-    ones = [run_skw1(make_interpolated_node_state(n, float(t)), seed=seed)
-            for t in np.linspace(0.0, 1.0, samples)]
-    ones += [run_skw2(make_ghz_node_state(n, float(a)), seed=seed)
-             for a in np.linspace(0.0, math.pi / 4.0, samples)]
-    ones += [run_skw3(make_tilted_node_state(n, float(s)))
-             for s in np.linspace(1.0 / 2 ** n, 1.0, samples)]
+    prepared = [[prepare_skw1(make_interpolated_node_state(n, float(t)), seed=seed)]
+                for t in np.linspace(0.0, 1.0, samples)]
+    prepared += [prepare_skw2_rows([make_ghz_node_state(n, float(a))], [seed])
+                 for a in np.linspace(0.0, math.pi / 4.0, samples)]
+    prepared += [[prepare_skw3(make_tilted_node_state(n, float(s)), seed=seed)]
+                 for s in np.linspace(1.0 / 2 ** n, 1.0, samples)]
+    ones = [walk_rows(group)[0] for group in prepared]
     assert len(rows) == len(ones)
     for k, (row, res) in enumerate(zip(rows, ones)):
-        one = cli.result_row(f"fig4-{res.variant}-{k % samples:02d}", res, seed)
+        one = cli.result_row(f"fig4-{res.variant}-{k % samples:02d}", res)
         assert ({k: v for k, v in row.items() if k != "wall_ms"}
                 == {k: cli._cell(v) for k, v in one.items() if k != "wall_ms"})
     summary = json.loads((tmp_path / "sweep_fig4_summary.json").read_text())
     assert summary["wall_ms_total"] == sum(float(row["wall_ms"]) for row in rows)
+
+
+@pytest.mark.parametrize("own,n,given,given_n,family", [
+    ("skw", 6, "skw1", 6, "uniform"), ("oskw", 6, "oskw1", 7, "even_uniform"),
+])
+def test_own_start_rows_match_the_state_as_given(own, n, given, given_n, family):
+    # skw and oskw walk the flat and even-flat starts through skw1's and oskw1's steps
+    def rows(text):
+        return cli.execute_config(parse_config(
+            f"experiment.id = same\nrun.seeds = 0, 3\n{text}"))
+
+    own_rows = rows(f"run.variant = {own}\nrun.n = {n}")
+    given_rows = rows(f"run.variant = {given}\nrun.n = {given_n}\n"
+                      f"state.family = {family}")
+    assert [row["variant"] for row in own_rows] == [own, own]
+    assert ([{k: cli._cell(v) for k, v in row.items() if k not in ("variant", "wall_ms")}
+             for row in own_rows]
+            == [{k: cli._cell(v) for k, v in row.items() if k not in ("variant", "wall_ms")}
+                for row in given_rows])
+
+
+def _record_results(monkeypatch):
+    """Every RunResult the CLI writes as a row, in row order."""
+    results = []
+    result_row = cli.result_row
+
+    def recording(*args):
+        results.append(args[1])
+        return result_row(*args)
+    monkeypatch.setattr(cli, "result_row", recording)
+    return results
+
+
+@pytest.mark.parametrize("variant,family", [
+    ("skw", ""), ("skw1", "state.family = haar_random"),
+    ("skw2", "state.family = haar_random"), ("skw3", "state.family = haar_random"),
+    ("oskw", ""), ("oskw1", "state.family = haar_random"),
+])
+def test_csv_seed_is_the_run_result_seed(tmp_path, monkeypatch, variant, family):
+    monkeypatch.chdir(tmp_path)
+    results = _record_results(monkeypatch)
+    cfg = _write(tmp_path / "cfg.txt", f"experiment.id = seeds\nrun.variant = {variant}\n"
+                 f"run.n = 5\nrun.seeds = 3, 5\n{family}\n")
+    assert main(["run", cfg]) == 0
+    seeds = [row["seed"] for row in _read_rows(tmp_path / "results.csv")]
+    assert seeds == ["3", "5"]
+    assert seeds == [str(res.seed) for res in results]
+
+
+def test_sweep_fig4_csv_seed_is_the_run_result_seed(tmp_path, monkeypatch):
+    results = _record_results(monkeypatch)
+    assert main(["sweep-fig4", "--n", "4", "--samples", "2", "--seed", "7",
+                 "--out", str(tmp_path)]) == 0
+    seeds = [row["seed"] for row in _read_rows(tmp_path / "sweep_fig4.csv")]
+    assert seeds == ["7"] * 6
+    assert seeds == [str(res.seed) for res in results]

@@ -14,17 +14,31 @@ from qwsearch import (OSKW, SKW, InvariantViolation, IterationPlan,
                       make_interpolated_node_state, make_random_node_state,
                       make_tilted_node_state, make_uniform_node_state,
                       optimize_local_layer_detailed, pauli_layer,
-                      predicted_probability, project_even_parity, run_oskw,
-                      run_oskw1, run_skw, run_skw1, run_skw2, run_skw3,
+                      predicted_probability, project_even_parity,
                       success_probability, uniform_coin, walsh_average,
                       walsh_weights)
 from qwsearch.cli import _cell, execute_config, parse_config, result_row
 from qwsearch import runners, walk
 from qwsearch.runners import (VARIANTS, PreparedRow, prepare_oskw1, prepare_skw1,
-                              prepare_skw2_rows, prepare_skw3, run_skw2_rows,
-                              walk_rows)
+                              prepare_skw2_rows, prepare_skw3, walk_rows)
 
 BOUND_N8 = 3 / math.sqrt(2 ** 8)
+
+
+def _walk(row, plan=None, metric="vertex"):
+    """One prepared row walked alone."""
+    return walk_rows([row], plan, metric)[0]
+
+
+def _skw2(state, plan=None, restarts=None, seed=0, metric="vertex"):
+    return walk_rows(prepare_skw2_rows([state], [seed], restarts), plan, metric)[0]
+
+
+def _own_start(variant, n, metric="vertex"):
+    """A variant that builds its own start state, run as the CLI runs it."""
+    spec = VARIANTS[variant]
+    row = spec.prepare(spec.start(n))._replace(variant=variant)
+    return walk_rows([row], metric=metric)[0]
 
 
 def _product_state(n, seed):
@@ -37,7 +51,7 @@ def _product_state(n, seed):
 
 
 def test_skw_reference_point():
-    res = run_skw(8)
+    res = _own_start("skw", 8)
     assert res.tau == 18
     assert res.variant == "skw"
     assert 0.4 <= res.p_avg <= 0.55
@@ -48,7 +62,7 @@ def test_skw_reference_point():
 def test_skw_average_consistent_past_ten_directions(n):
     # from the flat start every marked vertex is found equally well, so the
     # average over 2^n targets is any one target's forward walk
-    res = run_skw(n)
+    res = _own_start("skw", n)
     start = compose_walker(uniform_coin(n), make_uniform_node_state(n))
     plan = IterationPlan.explicit(res.tau)
     for tg in (0, 2 ** n - 1):
@@ -58,15 +72,15 @@ def test_skw_average_consistent_past_ten_directions(n):
 
 
 def test_skw1_uniform_matches_plain_walk():
-    a = run_skw(8)
-    b = run_skw1(make_uniform_node_state(8))
+    a = _own_start("skw", 8)
+    b = _walk(prepare_skw1(make_uniform_node_state(8)))
     assert a.p_avg == b.p_avg
     assert b.resource.f_c == pytest.approx(1.0, abs=1e-14)
     assert b.p_pred == 0.5
 
 
 def test_skw1_basis_state():
-    res = run_skw1(make_basis_node_state(8, 0))
+    res = _walk(prepare_skw1(make_basis_node_state(8, 0)))
     assert res.p_pred == pytest.approx(1 / 512, abs=1e-15)
     assert res.abs_dev <= BOUND_N8
 
@@ -74,7 +88,7 @@ def test_skw1_basis_state():
 def test_skw1_interpolated_monotone():
     devs, preds, ps = [], [], []
     for t in (0.0, 0.25, 0.5, 0.75, 1.0):
-        res = run_skw1(make_interpolated_node_state(8, t))
+        res = _walk(prepare_skw1(make_interpolated_node_state(8, t)))
         devs.append(res.abs_dev)
         preds.append(res.p_pred)
         ps.append(res.p_avg)
@@ -86,46 +100,46 @@ def test_skw1_interpolated_monotone():
 def test_skw1_mixed_linearity():
     eta = make_uniform_node_state(8)
     b0 = make_basis_node_state(8, 0)
-    mixed = run_skw1(MixedEnsemble(((0.25, b0), (0.75, eta))))
-    pa = run_skw1(b0)
-    pb = run_skw1(eta)
+    mixed = _walk(prepare_skw1(MixedEnsemble(((0.25, b0), (0.75, eta)))))
+    pa = _walk(prepare_skw1(b0))
+    pb = _walk(prepare_skw1(eta))
     assert abs(mixed.p_avg - (0.25 * pa.p_avg + 0.75 * pb.p_avg)) < 1e-12
     assert mixed.resource.C_f is None  # basis-change fidelity is pure-state only
 
 
 def test_skw1_entanglement_opt_in():
-    lean = run_skw1(make_ghz_node_state(4))
+    lean = _walk(prepare_skw1(make_ghz_node_state(4)))
     assert lean.resource.E_g is None
-    full = run_skw1(make_ghz_node_state(4), measure_entanglement=True, seed=3)
+    full = _walk(prepare_skw1(make_ghz_node_state(4), seed=3, measure_entanglement=True))
     assert full.resource.E_g == pytest.approx(1 / math.sqrt(2), abs=1e-6)
     assert full.p_avg == lean.p_avg
 
 
 def test_skw2_product_state_recovers_full_rate():
-    res = run_skw2(_product_state(8, seed=7), seed=1)
+    res = _skw2(_product_state(8, seed=7), seed=1)
     assert res.p_pred == pytest.approx(0.5, abs=1e-6)
     assert abs(res.p_avg - 0.5) <= BOUND_N8
     assert res.resource.converged
 
 
 def test_skw2_ghz_half_rate():
-    res = run_skw2(make_ghz_node_state(8), seed=1)
+    res = _skw2(make_ghz_node_state(8), seed=1)
     assert res.p_pred == pytest.approx(0.25, abs=1e-6)
     assert res.abs_dev <= BOUND_N8
 
 
 def test_skw2_more_restarts_never_worse():
     s = make_random_node_state(6, seed=12)
-    lo = run_skw2(s, restarts=1, seed=5)
-    hi = run_skw2(s, restarts=32, seed=5)
+    lo = _skw2(s, restarts=1, seed=5)
+    hi = _skw2(s, restarts=32, seed=5)
     assert hi.p_pred >= lo.p_pred - 1e-12
 
 
 def test_skw2_dominates_skw1():
     for seed in (0, 1, 2):
         s = make_random_node_state(6, seed)
-        r1 = run_skw1(s)
-        r2 = run_skw2(s, seed=seed)
+        r1 = _walk(prepare_skw1(s))
+        r2 = _skw2(s, seed=seed)
         assert r2.p_pred >= r1.p_pred - 1e-12
 
 
@@ -134,12 +148,11 @@ def test_skw2_config_rows_match_one_row_calls():
     cfg = parse_config("experiment.id = group\nrun.variant = skw2\nrun.n = 8\n"
                        f"run.seeds = {', '.join(map(str, seeds))}\n"
                        "state.family = haar_random")
-    assert VARIANTS["skw2"].rows is run_skw2_rows
+    assert VARIANTS["skw2"].prepare is prepare_skw2_rows and VARIANTS["skw2"].pooled
     rows = execute_config(cfg)
     assert len(rows) == len(seeds)
     for seed, row in zip(seeds, rows):
-        one = result_row("group", run_skw2(make_random_node_state(8, seed), seed=seed),
-                         seed)
+        one = result_row("group", _skw2(make_random_node_state(8, seed), seed=seed))
         assert ({k: _cell(v) for k, v in row.items() if k != "wall_ms"}
                 == {k: _cell(v) for k, v in one.items() if k != "wall_ms"})
 
@@ -147,7 +160,7 @@ def test_skw2_config_rows_match_one_row_calls():
 def test_skw2_rows_share_the_optimizer_time():
     states = [make_random_node_state(6, s) for s in range(5)]
     t0 = time.perf_counter()
-    results = run_skw2_rows(states, [0, 1, 2, 3, 4], restarts=4)
+    results = walk_rows(prepare_skw2_rows(states, [0, 1, 2, 3, 4], restarts=4))
     elapsed_ms = (time.perf_counter() - t0) * 1e3
     assert [r.seed for r in results] == [0, 1, 2, 3, 4]
     assert all(r.wall_ms > 0.0 for r in results)
@@ -155,14 +168,14 @@ def test_skw2_rows_share_the_optimizer_time():
 
 
 def test_skw3_basis_state_half_rate():
-    res = run_skw3(make_basis_node_state(8, 37))
+    res = _walk(prepare_skw3(make_basis_node_state(8, 37)))
     assert res.resource.C_f == 0.0
     assert res.p_pred == 0.5
     assert abs(res.p_avg - 0.5) <= BOUND_N8
 
 
 def test_skw3_uniform_floor():
-    res = run_skw3(make_uniform_node_state(8))
+    res = _walk(prepare_skw3(make_uniform_node_state(8)))
     assert res.p_pred == pytest.approx(1 / 512, abs=1e-12)
     assert res.abs_dev <= BOUND_N8
 
@@ -175,8 +188,8 @@ def test_skw3_selection_routes_agree():
     for s in states:
         layer, _ = enumerate_pauli_layers(s)
         framed = apply_local_layer(apply_local_layer(s, layer), hadamard_layer(n))
-        a = run_skw3(s)
-        b = run_skw1(framed)
+        a = _walk(prepare_skw3(s))
+        b = _walk(prepare_skw1(framed))
         assert abs(a.p_avg - b.p_avg) < 1e-12
         assert abs(a.p_pred - b.p_pred) < 1e-12
 
@@ -184,13 +197,13 @@ def test_skw3_selection_routes_agree():
 def test_skw3_below_skw2():
     for seed in (3, 4):
         s = make_random_node_state(5, seed)
-        r2 = run_skw2(s, seed=seed)
-        r3 = run_skw3(s)
+        r2 = _skw2(s, seed=seed)
+        r3 = _walk(prepare_skw3(s))
         assert r3.p_pred <= r2.p_pred + 1e-9
 
 
 def test_oskw_reference_point():
-    res = run_oskw(8)
+    res = _own_start("oskw", 8)
     assert res.n == 9 and res.tau == 25
     assert res.p_avg >= 0.8
     assert res.leaked_weight == 0.0
@@ -198,13 +211,13 @@ def test_oskw_reference_point():
 
 def test_oskw1_projected_prediction():
     s = make_random_node_state(9, seed=2)
-    res = run_oskw1(s)
+    res = _walk(prepare_oskw1(s))
     assert res.abs_dev <= 6 / math.sqrt(512)
     assert 0 < res.leaked_weight < 1
 
 
 def test_oskw1_even_basis_state():
-    res = run_oskw1(make_basis_node_state(5, 0b00011))
+    res = _walk(prepare_oskw1(make_basis_node_state(5, 0b00011)))
     assert res.p_pred == pytest.approx(1 / 16, abs=1e-14)
     assert res.leaked_weight == 0
 
@@ -214,16 +227,16 @@ def test_oskw_size_refused_before_any_state_is_built(monkeypatch):
         raise AssertionError("a start state was built")
     monkeypatch.setattr(runners, "make_even_uniform_node_state", never)
     with pytest.raises(ValueError, match=r"n \(run.n\) must be <= 19"):
-        run_oskw(20)
+        VARIANTS["oskw"].start(20)
 
 
 def test_oskw1_rejects_odd_support_and_tiny_walks():
     amps = np.zeros(32, dtype=np.complex128)
     amps[0b00001] = 1.0
     with pytest.raises(ValueError):
-        run_oskw1(NodeState(5, amps))
+        prepare_oskw1(NodeState(5, amps))
     with pytest.raises(ValueError):
-        run_oskw1(make_uniform_node_state(2))
+        prepare_oskw1(make_uniform_node_state(2))
 
 
 def test_predicted_probability_table():
@@ -275,8 +288,9 @@ def test_p_avg_matches_dense_oracle(n, tau, metric):
     plan = None if tau is None else IterationPlan.explicit(tau)
     s = make_random_node_state(n, seed=10 * n + (1 if tau is None else tau))
     projected, _ = project_even_parity(s)
-    for run, node, variant in ((run_skw1, s, SKW), (run_oskw1, projected, OSKW)):
-        res = run(s, plan, metric=metric)
+    for prepare, node, variant in ((prepare_skw1, s, SKW),
+                                   (prepare_oskw1, projected, OSKW)):
+        res = _walk(prepare(s), plan, metric)
         ref = _dense_mean(node, IterationPlan.explicit(res.tau), variant, metric)
         assert abs(res.p_avg - ref) <= 1e-12
 
@@ -305,11 +319,8 @@ def test_engine_matches_forward_walk(n, variant, tau, metric):
     node = make_random_node_state(n, seed=100 + n)
     if variant == OSKW:
         node, _ = project_even_parity(node)
-        plan = IterationPlan.oskw_optimal(2 ** n)
-    else:
-        plan = IterationPlan.skw_optimal(n)
-    if tau is not None:   # odd tau: the two-shift walk drops the leftover round
-        plan = IterationPlan.explicit(tau)
+    # odd tau: the two-shift walk drops the leftover round
+    plan = IterationPlan.optimal(n) if tau is None else IterationPlan.explicit(tau)
     got = walsh_average(walsh_weights(n, plan, variant, metric), node)
     assert abs(got - _forward_mean(node, plan, variant, metric)) <= 1e-12
 
@@ -327,13 +338,13 @@ def test_unprojected_two_shift_row_matches_even_target_mean(n, tau, metric):
                     metric)[0]
     ref = _forward_mean(node, IterationPlan.explicit(res.tau), OSKW, metric)
     assert abs(res.p_avg - ref) <= 1e-12
-    projected = run_oskw1(node, IterationPlan.explicit(res.tau), metric=metric)
+    projected = _walk(prepare_oskw1(node), IterationPlan.explicit(res.tau), metric)
     assert abs(res.p_avg - (1 - projected.leaked_weight) * projected.p_avg) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_runners_match_forward_walk_on_walked_states(n):
-    plan = IterationPlan.skw_optimal(n)
+    plan = IterationPlan.optimal(n)
     targets = np.arange(2 ** n)
 
     def deviation(res, ref):
@@ -342,7 +353,7 @@ def test_runners_match_forward_walk_on_walked_states(n):
     members = [make_random_node_state(n, seed=1), make_ghz_node_state(n, 0.3),
                make_tilted_node_state(n, 0.7)]
     weights = [0.5, 0.3, 0.2]
-    res = run_skw1(MixedEnsemble(tuple(zip(weights, members))), plan)
+    res = _walk(prepare_skw1(MixedEnsemble(tuple(zip(weights, members)))), plan)
     ref = sum(w * _forward_probs(m, plan, SKW, "vertex", targets)
               for w, m in zip(weights, members))
     assert deviation(res, ref) <= 1e-12
@@ -350,26 +361,26 @@ def test_runners_match_forward_walk_on_walked_states(n):
     s = make_random_node_state(n, seed=7)
     layer, _, _ = optimize_local_layer_detailed(s, 4, 2)
     walked = apply_local_layer(s, layer)
-    assert deviation(run_skw2(s, plan, restarts=4, seed=2),
+    assert deviation(_skw2(s, plan, restarts=4, seed=2),
                      _forward_probs(walked, plan, SKW, "vertex", targets)) <= 1e-12
 
     i, _ = best_pauli_basis(s)
     frame = pauli_layer("".join("X" if (i >> j) & 1 else "Z" for j in range(n)))
     walked = apply_local_layer(apply_local_layer(s, frame), hadamard_layer(n))
-    assert deviation(run_skw3(s, plan),
+    assert deviation(_walk(prepare_skw3(s), plan),
                      _forward_probs(walked, plan, SKW, "vertex", targets)) <= 1e-12
 
 
 def test_gamma_metric_runner():
-    res = run_skw(5, metric="gamma")
-    ref = run_skw(5)
+    res = _own_start("skw", 5, metric="gamma")
+    ref = _own_start("skw", 5)
     assert res.metric == "gamma"
     assert res.p_avg <= ref.p_avg + 1e-15
 
 
 def test_tilted_state_prediction():
     # concentration parameter s maps straight onto the incoherent rate
-    res = run_skw3(make_tilted_node_state(8, 0.6))
+    res = _walk(prepare_skw3(make_tilted_node_state(8, 0.6)))
     assert res.p_pred == pytest.approx(0.3, abs=1e-12)
     assert res.abs_dev <= BOUND_N8
 
@@ -387,10 +398,11 @@ def test_group_with_mixture_and_pure_rows_matches_one_row_runners(metric):
     rows = [prepare_skw1(pure), prepare_skw1(mix, seed=3), prepare_skw3(tilted),
             *prepare_skw2_rows([pure, tilted], [5, 6], restarts=4)]
     group = list(walk_rows(rows, metric=metric))
-    one = [run_skw1(pure, metric=metric), run_skw1(mix, seed=3, metric=metric),
-           run_skw3(tilted, metric=metric),
-           run_skw2(pure, restarts=4, seed=5, metric=metric),
-           run_skw2(tilted, restarts=4, seed=6, metric=metric)]
+    one = [_walk(prepare_skw1(pure), metric=metric),
+           _walk(prepare_skw1(mix, seed=3), metric=metric),
+           _walk(prepare_skw3(tilted), metric=metric),
+           _skw2(pure, restarts=4, seed=5, metric=metric),
+           _skw2(tilted, restarts=4, seed=6, metric=metric)]
     assert [r.variant for r in group] == ["skw1", "skw1", "skw3", "skw2", "skw2"]
     assert all(_same_but_wall_ms(g, o) for g, o in zip(group, one))
 
@@ -401,7 +413,7 @@ def test_oskw1_group_matches_one_row_runner():
     group = list(walk_rows([prepare_oskw1(s, seed=k) for k, s in enumerate(states)],
                            plan))
     for k, (res, state) in enumerate(zip(group, states)):
-        assert _same_but_wall_ms(res, run_oskw1(state, plan, seed=k))
+        assert _same_but_wall_ms(res, _walk(prepare_oskw1(state, seed=k), plan))
         assert res.leaked_weight is not None
 
 

@@ -72,10 +72,10 @@ def test_walk_spec_validation():
 
 
 def test_iteration_plan_rules():
-    assert IterationPlan.skw_optimal(5).tau == 6
-    assert IterationPlan.skw_optimal(8).tau == 18
-    assert IterationPlan.skw_optimal(10).tau == 36
-    assert IterationPlan.oskw_optimal(512).tau == 25
+    assert IterationPlan.optimal(5).tau == 6
+    assert IterationPlan.optimal(8).tau == 18
+    assert IterationPlan.optimal(10).tau == 36
+    assert IterationPlan.optimal(9).tau == 25
     assert IterationPlan.explicit(7).tau == 7
     with pytest.raises(ValueError):
         IterationPlan.explicit(-1)
@@ -142,7 +142,7 @@ def test_evolve_zero_steps_identity():
 def test_evolve_matches_dense_small():
     n = 5
     spec = _spec(n, target=3)
-    plan = IterationPlan.skw_optimal(n)
+    plan = IterationPlan.optimal(n)
     out = evolve(_uniform_walker(n), spec, plan)
     ref = evolve_dense(_uniform_walker(n), spec, plan)
     assert np.max(np.abs(out.amplitudes - ref.amplitudes)) < 1e-12
@@ -187,7 +187,7 @@ def test_success_probability_concentrated():
 def test_success_probability_reference_run():
     n = 8
     spec = _spec(n, target=37)
-    out = evolve(_uniform_walker(n), spec, IterationPlan.skw_optimal(n))
+    out = evolve(_uniform_walker(n), spec, IterationPlan.optimal(n))
     p = success_probability(out, 37)
     assert 0.4 <= p <= 0.55
 
@@ -195,7 +195,7 @@ def test_success_probability_reference_run():
 def test_gamma_metric_bounded_by_vertex():
     n = 5
     out = evolve(_uniform_walker(n), _spec(n, target=9),
-                 IterationPlan.skw_optimal(n))
+                 IterationPlan.optimal(n))
     pv = success_probability(out, 9)
     pg = success_probability(out, 9, metric="gamma")
     assert pg <= pv + 1e-15
@@ -204,7 +204,7 @@ def test_gamma_metric_bounded_by_vertex():
 def test_target_symmetry_from_uniform_start():
     # vertex-transitive start: every marked vertex is found equally well
     n = 5
-    plan = IterationPlan.skw_optimal(n)
+    plan = IterationPlan.optimal(n)
     probs = []
     for t in range(2 ** n):
         out = evolve(_uniform_walker(n), _spec(n, target=t), plan)
@@ -246,7 +246,7 @@ def test_oskw_evolution_preserves_even_support():
     node, _ = project_even_parity(make_uniform_node_state(n))
     w = compose_walker(uniform_coin(n), node)
     spec = _spec(n, target=3, variant=OSKW)
-    out = evolve(w, spec, IterationPlan.oskw_optimal(2 ** n))
+    out = evolve(w, spec, IterationPlan.optimal(n))
     parity = np.array([x.bit_count() & 1 for x in range(2 ** n)])
     g = out.grid()
     assert np.max(np.abs(g[:, parity == 1])) < 1e-14
@@ -280,10 +280,10 @@ def test_engine_rejects_unknown_metric():
 def test_walsh_weights_are_averages(n, metric):
     # A is a Walsh mode's target average, A + B an even pair's; no pairing
     # term for the plain walk, and B = A for the parity-keeping two-shift walk
-    A, B = walsh_weights(n, IterationPlan.skw_optimal(n), SKW, metric)
+    A, B = walsh_weights(n, IterationPlan.optimal(n), SKW, metric)
     assert A.shape == (2 ** n,) and np.array_equal(B, np.zeros(2 ** n))
     assert 0.0 <= A.min() and A.max() <= 1.0
-    A, B = walsh_weights(n, IterationPlan.oskw_optimal(2 ** n), OSKW, metric)
+    A, B = walsh_weights(n, IterationPlan.optimal(n), OSKW, metric)
     assert np.max(np.abs(B - A)) <= 1e-15
     assert 0.0 <= A.min() and (A + B).max() <= 1.0
 
