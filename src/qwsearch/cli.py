@@ -4,8 +4,8 @@ Subcommands:
 
     run <config>        execute a configured experiment, append CSV rows,
                         write a JSON summary
-    sweep-fig4          sweep the three one-parameter state families and
-                        emit (measure, observed, predicted) rows per variant
+    sweep-fig4          run three built-in sweep configs, skw1 over interpolated
+                        t, skw2 over GHZ alpha, skw3 over tilted s, as one group
     measures <spec>     print the resource report of one state
     verify              run the independent oracle suite at small sizes
 
@@ -34,8 +34,8 @@ import numpy as np
 from .config import WALK_GUARD_N, InvariantViolation
 from .measures import ResourceReport, groverian_entanglement
 from .oracle import oracle_suite
-from .runners import (VARIANTS, RunResult, predicted_probability, prepare_skw1,
-                      prepare_skw2_rows, prepare_skw3, walk_rows)
+from .runners import (VARIANTS, PreparedRow, RunResult, predicted_probability,
+                      walk_rows)
 from .states import (MixedEnsemble, NodeState, make_basis_node_state,
                      make_even_uniform_node_state, make_ghz_node_state,
                      make_interpolated_node_state, make_random_node_state,
@@ -448,10 +448,12 @@ def _resolve_out(path: str) -> str:
     return path
 
 
-def write_csv_rows(path: str, rows: Sequence[Mapping[str, object]]) -> str:
+def write_csv_rows(path: str, rows: Sequence[Mapping[str, object]],
+                   append: bool = True) -> str:
+    """Append rows after any already in the file, or replace it unless append."""
     path = _resolve_out(path)
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="utf-8", newline="") as fh:
+    fresh = not append or not os.path.exists(path) or os.path.getsize(path) == 0
+    with open(path, "a" if append else "w", encoding="utf-8", newline="") as fh:
         if fresh:
             fh.write(",".join(CSV_COLUMNS) + "\n")
         for row in rows:
@@ -489,23 +491,29 @@ def write_summary(path: str, config_echo: Mapping[str, str],
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _run_rows(cfg: ExperimentConfig, states: Iterable, plan) -> Iterator[RunResult]:
-    """One sweep value's rows, in seed order: prepare, relabel to the config's
-    variant, walk. A prepare step that takes the whole group (skw2's optimizer
-    pool) walks it as one group; the others walk each row as its state
-    arrives. A ValueError from either step is a config fault."""
+def _row_groups(cfg: ExperimentConfig) -> Iterator[List[PreparedRow]]:
+    """A config's prepared row groups, in config order: each sweep value's
+    states in seed order, prepared and relabeled to the config's variant. A
+    prepare step that takes the whole group (skw2's optimizer pool) yields it
+    as one group; the others yield each row as its state arrives. A
+    ValueError from building or preparing a state is a config fault."""
     variant = VARIANTS[cfg.variant]
     inputs = {"restarts": cfg.restarts, "measure_entanglement": cfg.measure_entanglement}
     kwargs = {name: inputs[name] for name in variant.takes}
+    # _check_params leaves at most one list: no family takes two floats
+    sweep_values = next((v for v in cfg.family_params.values()
+                         if isinstance(v, list)), [None])
     try:
-        if variant.pooled:
-            groups = [variant.prepare(list(states), cfg.seeds, **kwargs)]
-        else:
-            groups = ([variant.prepare(state, seed, **kwargs)]
-                      for state, seed in zip(states, cfg.seeds))
-        for rows in groups:
-            yield from walk_rows([row._replace(variant=cfg.variant) for row in rows],
-                                 plan, cfg.metric)
+        for value in sweep_values:
+            states = (variant.start(cfg.n) if variant.start
+                      else _config_state(cfg, seed, value) for seed in cfg.seeds)
+            if variant.pooled:
+                groups = [variant.prepare(list(states), cfg.seeds, **kwargs)]
+            else:
+                groups = ([variant.prepare(state, seed, **kwargs)]
+                          for state, seed in zip(states, cfg.seeds))
+            for rows in groups:
+                yield [row._replace(variant=cfg.variant) for row in rows]
     except ConfigError:
         raise
     except ValueError as exc:
@@ -515,30 +523,26 @@ def _run_rows(cfg: ExperimentConfig, states: Iterable, plan) -> Iterator[RunResu
 def execute_config(cfg: ExperimentConfig) -> List[Dict[str, object]]:
     """All rows for one config, in deterministic config order."""
     plan = None if cfg.tau is None else IterationPlan.explicit(cfg.tau)
-    start = VARIANTS[cfg.variant].start
-    # _check_params leaves at most one list: no family takes two floats
-    sweep_values = next((v for v in cfg.family_params.values()
-                         if isinstance(v, list)), [None])
-
-    rows = []
-    for value in sweep_values:
-        states = (start(cfg.n) if start else _config_state(cfg, seed, value)
-                  for seed in cfg.seeds)
-        rows += [result_row(cfg.experiment_id, result)
-                 for result in _run_rows(cfg, states, plan)]
-    return rows
+    return [result_row(cfg.experiment_id, result) for rows in _row_groups(cfg)
+            for result in walk_rows(rows, plan, cfg.metric)]
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    rows = execute_config(cfg)
+def _write_outputs(csv_path: str, summary_path: str, echo: Mapping[str, str],
+                   rows: Sequence[Mapping[str, object]], extra: Mapping[str, object],
+                   append: bool = True) -> None:
+    """Write the rows' CSV and JSON summary and say where they went."""
     try:
-        csv_path = write_csv_rows(cfg.output_csv, rows)
-        summary_path = write_summary(cfg.output_summary, cfg.raw, rows, {})
+        csv_path = write_csv_rows(csv_path, rows, append)
+        summary_path = write_summary(summary_path, echo, rows, extra)
     except OSError as exc:
         raise ConfigError(f"cannot write output: {exc}") from None
     print(f"{len(rows)} rows -> {csv_path}")
     print(f"summary -> {summary_path}")
+
+
+def _cmd_run(args) -> int:
+    cfg = load_config(args.config)
+    _write_outputs(cfg.output_csv, cfg.output_summary, cfg.raw, execute_config(cfg), {})
     return 0
 
 
@@ -547,25 +551,21 @@ def _cmd_sweep(args) -> int:
     _at_least("--samples", args.samples, 2)
     _at_least("--restarts", args.restarts, 1)
     _at_least("--seed", args.seed, 0)
-    # all rows walk as one group on one kernel build; each GHZ state gets its own optimizer
-    prepared = [prepare_skw1(make_interpolated_node_state(n, float(t)), seed=args.seed)
-                for t in np.linspace(0.0, 1.0, args.samples)]
-    for alpha in np.linspace(0.0, math.pi / 4.0, args.samples):
-        prepared += prepare_skw2_rows([make_ghz_node_state(n, float(alpha))],
-                                      [args.seed], args.restarts)
-    prepared += [prepare_skw3(make_tilted_node_state(n, float(s)), seed=args.seed)
-                 for s in np.linspace(1.0 / (1 << n), 1.0, args.samples)]
+    # three built-in configs on run's route, values written exactly (repr); each
+    # GHZ value gets its own optimizer, and all rows walk on one kernel build
+    restarts = "" if args.restarts is None else f"run.restarts = {args.restarts}\n"
+    prepared = []
+    for variant, family, param, low, high, run_keys in (
+            ("skw1", "interpolated", "t", 0.0, 1.0, ""),
+            ("skw2", "ghz", "alpha", 0.0, math.pi / 4.0, restarts),
+            ("skw3", "tilted", "s", 1.0 / (1 << n), 1.0, "")):
+        values = ", ".join(repr(float(v)) for v in np.linspace(low, high, args.samples))
+        cfg = parse_config(f"experiment.id = fig4\nrun.variant = {variant}\n"
+                           f"run.n = {n}\nrun.seeds = {args.seed}\n{run_keys}"
+                           f"state.family = {family}\nstate.{param} = {values}\n")
+        prepared += [row for rows in _row_groups(cfg) for row in rows]
     rows = [result_row(f"fig4-{res.variant}-{k % args.samples:02d}", res)
             for k, res in enumerate(walk_rows(prepared))]
-
-    out_dir = os.path.abspath(args.out or os.environ.get(OUT_ENV, "") or ".")
-    csv_path = os.path.join(out_dir, "sweep_fig4.csv")
-    try:
-        if os.path.exists(csv_path):
-            os.remove(csv_path)
-        write_csv_rows(csv_path, rows)
-    except OSError as exc:
-        raise ConfigError(f"cannot write output: {exc}") from None
 
     # self-check: every emitted p_pred must recompute from the emitted
     # measure cells after text round-trip
@@ -575,11 +575,11 @@ def _cmd_sweep(args) -> int:
                  for key in ("f_c", "C_f", "E_g")}
         redone = predicted_probability(str(row["variant"]), ResourceReport(**cells))
         worst = max(worst, abs(redone - float(_cell(row["p_pred"]))))
+    out_dir = os.path.abspath(args.out or os.environ.get(OUT_ENV, "") or ".")
     echo = {"n": str(n), "samples": str(args.samples), "seed": str(args.seed)}
-    summary_path = os.path.join(out_dir, "sweep_fig4_summary.json")
-    write_summary(summary_path, echo, rows, {"p_pred_recompute_max_dev": worst})
-    print(f"{len(rows)} rows -> {csv_path}")
-    print(f"summary -> {summary_path}")
+    _write_outputs(os.path.join(out_dir, "sweep_fig4.csv"),
+                   os.path.join(out_dir, "sweep_fig4_summary.json"), echo, rows,
+                   {"p_pred_recompute_max_dev": worst}, append=False)
     if worst > 1e-12:
         raise InvariantViolation("prediction recompute",
                                  f"max deviation {worst} > 1e-12")

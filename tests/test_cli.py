@@ -35,10 +35,11 @@ output.summary = summary.json
 
 def test_run_interpolated_sweep(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("QWSEARCH_OUT", raising=False)
     cfg = _write(tmp_path / "cfg.txt", BASE)
     assert main(["run", cfg]) == 0
-    out = capsys.readouterr().out
-    assert "11 rows" in out
+    assert capsys.readouterr().out.splitlines() == ["11 rows -> rows.csv",
+                                                    "summary -> summary.json"]
     rows = _read_rows(tmp_path / "rows.csv")
     assert len(rows) == 11
     assert list(rows[0]) == list(CSV_COLUMNS)
@@ -494,6 +495,9 @@ def test_sweep_fig4_small(tmp_path, capsys):
     out = tmp_path / "sweep"
     assert main(["sweep-fig4", "--n", "4", "--samples", "4", "--out",
                  str(out), "--seed", "1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"12 rows -> {out / 'sweep_fig4.csv'}",
+        f"summary -> {out / 'sweep_fig4_summary.json'}"]
     rows = _read_rows(out / "sweep_fig4.csv")
     assert len(rows) == 12
     by_variant = {}
@@ -514,8 +518,8 @@ def test_sweep_fig4_small(tmp_path, capsys):
         c_f = float(r["C_f"])
         assert abs(float(r["p_pred"]) - (1 - c_f ** 2) / 2) < 1e-12
 
-    ids = [r["experiment_id"] for r in rows]
-    assert ids == sorted(ids)  # fig4-skw1-00 .. fig4-skw3-03
+    assert [r["experiment_id"] for r in rows] == [
+        f"fig4-{v}-{k:02d}" for v in ("skw1", "skw2", "skw3") for k in range(4)]
     summary = json.loads((out / "sweep_fig4_summary.json").read_text())
     assert summary["p_pred_recompute_max_dev"] <= 1e-12
 
@@ -570,18 +574,25 @@ def test_config_kernel_builds(tmp_path, monkeypatch, variant, family, seeds, exp
     assert len(builds) == expected
 
 
-@pytest.mark.parametrize("n", [5, 9])
-def test_sweep_fig4_matches_one_row_runners(tmp_path, n):
+@pytest.mark.parametrize("n,restarts", [(5, None), (9, None), (5, 4)],
+                         ids=["5", "9", "5-restarts4"])
+def test_sweep_fig4_matches_one_row_runners(tmp_path, monkeypatch, n, restarts):
     from qwsearch import (make_ghz_node_state, make_interpolated_node_state,
                           make_tilted_node_state, prepare_skw1, prepare_skw2_rows,
-                          prepare_skw3, walk_rows)
+                          prepare_skw3, runners, walk_rows)
     samples, seed = 4, 2
-    assert main(["sweep-fig4", "--n", str(n), "--samples", str(samples),
-                 "--seed", str(seed), "--out", str(tmp_path)]) == 0
+    # (state count, restarts) of each optimizer call the sweep makes
+    calls, optimize = [], runners.optimize_local_layers
+    monkeypatch.setattr(runners, "optimize_local_layers", lambda states, r, seeds:
+                        calls.append((len(states), r)) or optimize(states, r, seeds))
+    argv = ["sweep-fig4", "--n", str(n), "--samples", str(samples),
+            "--seed", str(seed), "--out", str(tmp_path)]
+    assert main(argv + ([] if restarts is None else ["--restarts", str(restarts)])) == 0
+    assert calls == [(1, restarts)] * samples   # one call per GHZ state
     rows = _read_rows(tmp_path / "sweep_fig4.csv")
     prepared = [[prepare_skw1(make_interpolated_node_state(n, float(t)), seed=seed)]
                 for t in np.linspace(0.0, 1.0, samples)]
-    prepared += [prepare_skw2_rows([make_ghz_node_state(n, float(a))], [seed])
+    prepared += [prepare_skw2_rows([make_ghz_node_state(n, float(a))], [seed], restarts)
                  for a in np.linspace(0.0, math.pi / 4.0, samples)]
     prepared += [[prepare_skw3(make_tilted_node_state(n, float(s)), seed=seed)]
                  for s in np.linspace(1.0 / 2 ** n, 1.0, samples)]

@@ -59,6 +59,12 @@ def test_cli_binds_no_runner_name():
     assert [name for name in vars(qwsearch.cli) if name.startswith("run_")] == []
 
 
+def test_cli_binds_no_prepare_name():
+    # run and sweep-fig4 reach every prepare step through VARIANTS, one route
+    import qwsearch.cli
+    assert [name for name in vars(qwsearch.cli) if name.startswith("prepare_")] == []
+
+
 def test_layering_check_sees_oracle_imports():
     # the package root re-exports the oracle, so the check has something to find
     assert "evolve_dense" in _oracle_imports("__init__")

@@ -28,20 +28,6 @@ def test_public_names_unique_and_resolvable():
         assert hasattr(qwsearch, name), name
 
 
-def test_sweep_start_families_small(tmp_path, monkeypatch, capsys):
-    script = _load("sweep_start_families")
-    out = tmp_path / "families"
-    monkeypatch.setattr(sys, "argv", ["sweep_start_families.py", "--n", "4",
-                                      "--samples", "3", "--out", str(out)])
-    assert script.main() == 0
-    lines = capsys.readouterr().out.splitlines()
-    assert lines == [f"9 rows -> {out / 'sweep_fig4.csv'}",
-                     f"summary -> {out / 'sweep_fig4_summary.json'}"]
-    ids = [line.split(",")[0] for line in (out / "sweep_fig4.csv").read_text().splitlines()]
-    assert ids[1:] == [f"fig4-{v}-{k:02d}" for v in ("skw1", "skw2", "skw3")
-                       for k in range(3)]
-
-
 def test_deviation_scaling_small(monkeypatch, capsys):
     script = _load("deviation_scaling")
     monkeypatch.setattr(sys, "argv", ["deviation_scaling.py", "--min-n", "4",
