@@ -494,26 +494,28 @@ def write_summary(path: str, config_echo: Mapping[str, str],
 def _row_groups(cfg: ExperimentConfig) -> Iterator[List[PreparedRow]]:
     """A config's prepared row groups, in config order: each sweep value's
     states in seed order, prepared and relabeled to the config's variant. A
-    prepare step that takes the whole group (skw2's optimizer pool) yields it
-    as one group; the others yield each row as its state arrives. A
-    ValueError from building or preparing a state is a config fault."""
+    prepare step that takes the whole group (skw2's optimizer pool) gets every
+    state of the config in one call and yields them as one group; the others
+    yield each row as its state arrives. A ValueError from building or
+    preparing a state is a config fault."""
     variant = VARIANTS[cfg.variant]
     inputs = {"restarts": cfg.restarts, "measure_entanglement": cfg.measure_entanglement}
     kwargs = {name: inputs[name] for name in variant.takes}
     # _check_params leaves at most one list: no family takes two floats
     sweep_values = next((v for v in cfg.family_params.values()
                          if isinstance(v, list)), [None])
+    pairs = [(value, seed) for value in sweep_values for seed in cfg.seeds]
+    seeds = [seed for _, seed in pairs]
     try:
-        for value in sweep_values:
-            states = (variant.start(cfg.n) if variant.start
-                      else _config_state(cfg, seed, value) for seed in cfg.seeds)
-            if variant.pooled:
-                groups = [variant.prepare(list(states), cfg.seeds, **kwargs)]
-            else:
-                groups = ([variant.prepare(state, seed, **kwargs)]
-                          for state, seed in zip(states, cfg.seeds))
-            for rows in groups:
-                yield [row._replace(variant=cfg.variant) for row in rows]
+        states = (variant.start(cfg.n) if variant.start
+                  else _config_state(cfg, seed, value) for value, seed in pairs)
+        if variant.pooled:
+            groups = [variant.prepare(list(states), seeds, **kwargs)]
+        else:
+            groups = ([variant.prepare(state, seed, **kwargs)]
+                      for state, seed in zip(states, seeds))
+        for rows in groups:
+            yield [row._replace(variant=cfg.variant) for row in rows]
     except ConfigError:
         raise
     except ValueError as exc:
@@ -551,8 +553,8 @@ def _cmd_sweep(args) -> int:
     _at_least("--samples", args.samples, 2)
     _at_least("--restarts", args.restarts, 1)
     _at_least("--seed", args.seed, 0)
-    # three built-in configs on run's route, values written exactly (repr); each
-    # GHZ value gets its own optimizer, and all rows walk on one kernel build
+    # three built-in configs on run's route, values written exactly (repr); the
+    # GHZ values share one optimizer pool, and all rows walk on one kernel build
     restarts = "" if args.restarts is None else f"run.restarts = {args.restarts}\n"
     prepared = []
     for variant, family, param, low, high, run_keys in (

@@ -43,9 +43,11 @@ class LocalLayer:
         for k, U in enumerate(factors):
             if U.shape != (2, 2):
                 raise ValueError(f"factor {k} is not 2x2: shape {U.shape}")
-            err = float(np.max(np.abs(U.conj().T @ U - np.eye(2))))
-            if err > UNITARY_TOL:
-                raise ValueError(f"factor {k} not unitary: deviation {err}")
+        F = np.array(factors)
+        errs = np.abs(F.conj().transpose(0, 2, 1) @ F - np.eye(2)).max(axis=(1, 2))
+        if (errs > UNITARY_TOL).any():
+            k = int(np.argmax(errs > UNITARY_TOL))  # the first offender, not the worst
+            raise ValueError(f"factor {k} not unitary: deviation {float(errs[k])}")
         object.__setattr__(self, "factors", factors)
 
     @property
@@ -131,19 +133,22 @@ def _hopm(states: Sequence[NodeState], restarts: int,
     any of its restarts used.
 
     Restart r of state i seeds its own generator from (seeds[i], r) and counts
-    its own sweeps, so no result depends on the schedule. A sweep sets each
-    factor in turn, qubit 0 (psi's leading axis) first, to the normalized
-    contraction of psi with the new factors before it and the old ones after
-    it. Live restarts carry conjugated factors in a pool of slots, written back
-    once their gain drops below OVERLAP_TOL or at HOPM_SWEEP_CAP; the slot then
-    takes the next pending restart, state-major. The pool holds two states'
-    restarts at most and slots x N/2 entries under HOPM_BATCH_ENTRIES;
-    products are per restart, so no bit depends on the pool.
+    its own sweeps, so no result depends on the schedule; a start depends on
+    (n, seed, r) alone, so each distinct seed's starts are drawn once and
+    shared by every state with that seed. A sweep sets each factor in turn,
+    qubit 0 (psi's leading axis) first, to the normalized contraction of psi
+    with the new factors before it and the old ones after it. Live restarts
+    carry conjugated factors in a pool of slots, written back once their gain
+    drops below OVERLAP_TOL or at HOPM_SWEEP_CAP; the slot then takes the next
+    pending restart, state-major. The pool holds two states' restarts at most
+    and slots x N/2 entries under HOPM_BATCH_ENTRIES; products are per
+    restart, so no bit depends on the pool.
     """
     n, total = states[0].n, len(states) * restarts
     psis = np.array([s.amplitudes.reshape((2,) * n).T.reshape(2, -1) for s in states])
-    us = np.array([_random_product(n, np.random.default_rng([seed, r]))
-                   for seed in seeds for r in range(restarts)])
+    starts = {seed: [_random_product(n, np.random.default_rng([seed, r]))
+                     for r in range(restarts)] for seed in dict.fromkeys(seeds)}
+    us = np.array([u for seed in seeds for u in starts[seed]])
     lam, sweeps, converged = np.zeros(total), np.zeros(total, int), np.zeros(total, bool)
     pool = min(total, 2 * restarts, max(1, HOPM_BATCH_ENTRIES // (states[0].dim // 2)))
     live, age, pending = np.arange(pool), np.zeros(pool, int), pool
@@ -221,12 +226,15 @@ def optimize_local_layers(states: Sequence[NodeState], restarts: Optional[int],
     """Per state (all of one n, state i seeded by seeds[i]), the local layer
     sending its optimal product factors |u_j> to |+>, which maximizes the
     transformed state's coherence fraction, and the input state's resources."""
-    plus = np.array([1, 1], dtype=np.complex128) / math.sqrt(2)
-    minus = np.array([1, -1], dtype=np.complex128) / math.sqrt(2)
+    plus = np.array([1, 1], dtype=np.complex128)[:, None] / math.sqrt(2)
+    minus = np.array([1, -1], dtype=np.complex128)[:, None] / math.sqrt(2)
     # U_j = |+><u_j| + |-><u_j^perp| with u_j^perp = (-conj(u_j1), conj(u_j0))
-    return [(LocalLayer(tuple(np.outer(plus, np.conj(u)) + np.outer(minus, [-u[1], u[0]])
-                              for u in us)), report)
-            for us, report in _entanglement(states, restarts, seeds)]
+    layers = []
+    for us, report in _entanglement(states, restarts, seeds):
+        u = np.array(us)[:, None]  # (n, 1, 2)
+        perp = np.concatenate((-u[..., 1:], u[..., :1]), axis=2)
+        layers.append((LocalLayer(tuple(plus * np.conj(u) + minus * perp)), report))
+    return layers
 
 
 def optimize_local_layer_detailed(

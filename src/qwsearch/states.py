@@ -180,21 +180,19 @@ def overlap(a: NodeState, b: NodeState) -> complex:
 def apply_local_layer(state: NodeState, layer: "LocalLayer") -> NodeState:
     """Apply a product of single-qubit unitaries U_1 x ... x U_n to the state.
 
-    Factor j acts on qubit j (bit j of the vertex index). Implemented as
-    per-qubit tensor sweeps, no 2^n x 2^n matrix is formed.
+    Factor j acts on qubit j (bit j of the vertex index). Implemented as one
+    2 x 2 by 2 x N/2 product per qubit, no 2^n x 2^n matrix is formed.
     """
     factors = layer.factors
     if len(factors) != state.n:
         raise ValueError(
             f"layer has {len(factors)} factors for an n={state.n} state"
         )
-    n = state.n
-    # reshape to one axis per qubit; axis a holds qubit n-1-a (C order)
-    tensor = state.amplitudes.reshape((2,) * n)
-    for j, U in enumerate(factors):
-        axis = n - 1 - j
-        tensor = np.moveaxis(np.tensordot(U, tensor, axes=([1], [axis])), 0, axis)
-    out = tensor.ravel()
+    n, out = state.n, state.amplitudes
+    # each product acts on bit 0 and rotates it to the top bit, so factor j
+    # meets qubit j there and n rotations restore the vertex order
+    for U in factors:
+        out = (U @ out.reshape(-1, 2).T).ravel()
     nrm = float(np.linalg.norm(out))
     if abs(nrm - 1.0) > UNITARY_TOL * (n + 1):
         raise InvariantViolation("layer norm preservation", f"norm {nrm!r}")

@@ -562,7 +562,7 @@ def test_sweep_fig4_walks_one_row_group(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("variant,family,seeds,expected", [
-    ("skw2", "state.family = ghz\nstate.alpha = 0.1, 0.4, 0.7", "0, 1, 2, 3, 4", 3),
+    ("skw2", "state.family = ghz\nstate.alpha = 0.1, 0.4, 0.7", "0, 1, 2, 3, 4", 1),
     ("oskw1", "state.family = haar_random", "0, 1, 2, 3", 4),
 ])
 def test_config_kernel_builds(tmp_path, monkeypatch, variant, family, seeds, expected):
@@ -588,7 +588,7 @@ def test_sweep_fig4_matches_one_row_runners(tmp_path, monkeypatch, n, restarts):
     argv = ["sweep-fig4", "--n", str(n), "--samples", str(samples),
             "--seed", str(seed), "--out", str(tmp_path)]
     assert main(argv + ([] if restarts is None else ["--restarts", str(restarts)])) == 0
-    assert calls == [(1, restarts)] * samples   # one call per GHZ state
+    assert calls == [(samples, restarts)]   # one pool for all GHZ states
     rows = _read_rows(tmp_path / "sweep_fig4.csv")
     prepared = [[prepare_skw1(make_interpolated_node_state(n, float(t)), seed=seed)]
                 for t in np.linspace(0.0, 1.0, samples)]

@@ -329,7 +329,10 @@ _GROUP_CASES = (
       list(range(12)), 32)]
     + [(f"haar-n{n}-r{r}", [make_random_node_state(n, s) for s in range(4)],
         [3, 1, 4, 1], r) for n in (2, 6) for r in (1, 5, 32)]
-    + [("n1-bare", [_one_qubit(s) for s in range(3)], [0, 3, 7], 5)])
+    + [("n1-bare", [_one_qubit(s) for s in range(3)], [0, 3, 7], 5)]
+    + [("ghz-alpha-n6-one-seed",
+        [make_ghz_node_state(6, a) for a in np.linspace(0.0, math.pi / 4, 5)],
+        [4] * 5, 8)])
 
 
 @pytest.mark.parametrize("states,seeds,restarts", [c[1:] for c in _GROUP_CASES],
@@ -339,6 +342,15 @@ def test_row_group_matches_one_state_calls(states, seeds, restarts):
     assert len(group) == len(states)
     for state, seed, got in zip(states, seeds, group):
         _bitwise_equal(got, measures._hopm([state], restarts, [seed])[0])
+
+
+def test_pool_draws_each_seeds_starts_once(monkeypatch):
+    draws, draw = [], measures._random_product
+    monkeypatch.setattr(measures, "_random_product",
+                        lambda n, rng: draws.append(n) or draw(n, rng))
+    states = [make_ghz_node_state(5, a) for a in np.linspace(0.0, math.pi / 4, 6)]
+    measures._hopm(states, 3, [2, 2, 7, 2, 7, 9])
+    assert len(draws) == 3 * 3   # restarts x distinct seeds
 
 
 @pytest.mark.parametrize("cap", [None, 2])

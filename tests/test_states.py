@@ -12,6 +12,7 @@ from qwsearch import (LocalLayer, MixedEnsemble, NodeState, WalkerState,
                       make_random_node_state, make_tilted_node_state,
                       make_uniform_node_state, make_w_node_state, overlap,
                       pauli_layer, uniform_coin)
+from qwsearch.measures import optimize_local_layers
 from qwsearch.states import even_parity_mask
 
 
@@ -151,6 +152,37 @@ def test_layer_composition_matches_factor_product():
         prod = LocalLayer(tuple(b @ a for a, b in zip(la.factors, lb.factors)))
         one_step = apply_local_layer(s, prod)
         assert np.max(np.abs(two_step.amplitudes - one_step.amplitudes)) < 1e-12
+
+
+def _tensordot_layer(state, layer):
+    """Reference route: one tensordot and moveaxis per qubit."""
+    n = state.n
+    tensor = state.amplitudes.reshape((2,) * n)  # axis a holds qubit n-1-a
+    for j, U in enumerate(layer.factors):
+        axis = n - 1 - j
+        tensor = np.moveaxis(np.tensordot(U, tensor, axes=([1], [axis])), 0, axis)
+    return tensor.ravel()
+
+
+@pytest.mark.parametrize("n", range(2, 15))
+def test_layer_matches_tensordot_route(n):
+    rng = np.random.default_rng(n)
+    s = make_random_node_state(n, n)
+    [(optimized, _)] = optimize_local_layers([s], 2, [n])
+    letters = "".join(rng.choice(list("XYZ"), size=n))
+    for layer in (_random_layer(n, rng), optimized, hadamard_layer(n),
+                  pauli_layer(letters)):
+        assert np.array_equal(apply_local_layer(s, layer).amplitudes,
+                              _tensordot_layer(s, layer))
+
+
+def test_layer_names_its_first_bad_factor():
+    I, X = np.eye(2), np.array([[0, 1], [1, 0]])
+    # factor 3 deviates most, but factor 1 is the first over the tolerance
+    with pytest.raises(ValueError, match=r"^factor 1 not unitary: deviation 3\.0$"):
+        LocalLayer((I, 2 * I, X, 3 * X))
+    with pytest.raises(ValueError, match=r"^factor 2 is not 2x2: shape \(3, 3\)$"):
+        LocalLayer((I, 2 * I, np.eye(3)))   # shapes are checked first
 
 
 def test_node_state_rejects_bad_norm():
