@@ -50,10 +50,6 @@ class LocalLayer:
             raise ValueError(f"factor {k} not unitary: deviation {float(errs[k])}")
         object.__setattr__(self, "factors", factors)
 
-    @property
-    def n(self) -> int:
-        return len(self.factors)
-
 
 def identity_layer(n: int) -> LocalLayer:
     return LocalLayer(tuple(np.eye(2, dtype=np.complex128) for _ in range(n)))

@@ -5,8 +5,8 @@ matrices assembled entry by entry, an exhaustive Bloch-angle grid for the
 best product overlap, the exhaustive 3^n Pauli-layer search, and
 standalone identity checks; these share only data types with the engine.
 The forward walk `evolve` deliberately reuses the engine's grid kernels, one
-marked vertex at a time, so its mean over the targets checks the p_avg of
-`walk.walsh_weights`. `oracle_suite` is what `qwsearch verify` runs.
+marked vertex at a time, so its mean over the targets checks the p_avg read
+off `walk.walsh_weights`. `oracle_suite` is what `qwsearch verify` runs.
 """
 
 from __future__ import annotations

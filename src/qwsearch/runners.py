@@ -4,7 +4,7 @@ A variant is its prepare step: it turns a start state into a row, the state
 it walks and its resource report. `skw` and `oskw` build their own start
 state from run.n and share `skw1`'s and `oskw1`'s steps. One body,
 `walk_rows`, walks every row: it builds the state-independent Walsh
-weights of a group of rows of one n once (`walk.walsh_weights`), reads each
+weight of a group of rows of one n once (`walk.walsh_weights`), reads each
 row's target average off one Walsh transform per walked state
 (`walk.walsh_average`) and reports it next to its closed-form prediction.
 Each variant's prepare step, inputs and closed form live in `VARIANTS`:
@@ -100,7 +100,7 @@ def walk_rows(rows: Sequence[PreparedRow], plan: Optional[IterationPlan] = None,
     results = []
     for row, ms in zip(rows, members):
         t0 = time.perf_counter() - row.prep_s - per_state * len(ms)
-        p_avg = sum(p_mu * walsh_average(weights, m) for p_mu, m in ms)
+        p_avg = sum(p_mu * walsh_average(weights, m, walk) for p_mu, m in ms)
         p_pred = predicted_probability(row.variant, row.resource)
         results.append(RunResult(
             variant=row.variant, n=n, tau=plan.tau, p_avg=p_avg,

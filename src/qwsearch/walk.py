@@ -12,9 +12,9 @@ is a gather and C0 is twice the column mean minus the column.
 
 Relabeling vertices by x -> x XOR t commutes with S and C0 and moves the
 mark from 0 to t, so one set of adjoint kernels with the mark at 0 serves
-every target: the target average is a quadratic form in the start state's
-Walsh spectrum with state-independent weights (`walsh_weights`). The
-forward walk for one marked vertex, `oracle.evolve`, is the reference.
+every target: the target average is sum_s W(s) |psi^(s)|^2 over the start
+state's Walsh spectrum, with a state-independent weight W (`walsh_weights`).
+The forward walk for one marked vertex, `oracle.evolve`, is the reference.
 """
 
 from __future__ import annotations
@@ -159,40 +159,41 @@ def _adjoint_kernels(spec: WalkSpec, plan: IterationPlan) -> np.ndarray:
     return kernels
 
 
-def walsh_weights(n: int, plan: IterationPlan, walk: str,
-                  metric: str) -> Tuple[np.ndarray, np.ndarray]:
-    """State-independent weights (A, B) of the target-averaged success rate.
+def walsh_weights(n: int, plan: IterationPlan, walk: str, metric: str) -> np.ndarray:
+    """State-independent weight W of the target-averaged success rate.
 
     From the uniform coin (x) psi, as in `oracle.evolve`, the amplitude at
     (d, t) with the mark at t is the XOR convolution H(H K_d . H psi) / N.
     By Parseval its mean over all t is sum_s A(s) |psi^(s)|^2, psi^ = H psi /
-    sqrt(N), A(s) = sum_d (H K_d(s))^2 / N. Over the two-shift walk's even
-    targets, s pairs with s~ = s XOR 1...1: X(s) = Re psi^(s) conj psi^(s~)
-    adds with B(s) = sum_d H K_d(s) H K_d(s~) / N; B = 0 for the plain walk.
-    The gamma metric reads the one kernel sum_d K_d / sqrt(n). A(s) is a Walsh
-    mode's average and A(s) + B(s) an even pair's, so both lie in [0, 1]."""
+    sqrt(N), A(s) = sum_d (H K_d(s))^2 / N: W = A for the plain walk. The
+    two-shift walk keeps parity, so its kernels live on even vertices and
+    H K_d(s~) = H K_d(s), s~ = s XOR 1...1: the pair weight of s and s~ is
+    A(s) itself, and W = 2A weighs an even mode pair (`walsh_average`). The
+    gamma metric reads the one kernel sum_d K_d / sqrt(n). W is a Walsh mode's
+    or an even pair's average, so it lies in [0, 1]."""
     if metric not in ("vertex", "gamma"):
         raise ValueError(f"unknown metric {metric!r}")
     spec = WalkSpec(n=n, node_count=1 << n, target=0, variant=walk)
     kernels = _adjoint_kernels(spec, plan)
     if metric == "gamma":
         kernels = kernels.sum(axis=0, keepdims=True) / math.sqrt(n)
-    spectrum = _fwht(kernels)
-    A = np.sum(spectrum ** 2, axis=0) / spec.node_count
-    B = (np.sum(spectrum * spectrum[:, ::-1], axis=0) / spec.node_count
-         if walk == OSKW else np.zeros_like(A))
-    for name, w in (("A", A), ("A + B", A + B)):
-        if not (-STRICT_TOL <= w.min() and w.max() <= 1.0 + STRICT_TOL):
-            raise InvariantViolation("probability range",
-                                     f"{name} spans [{w.min()!r}, {w.max()!r}]")
-    return A, B
+    W = np.sum(_fwht(kernels) ** 2, axis=0) / spec.node_count
+    if walk == OSKW:
+        W = 2.0 * W
+    if not (-STRICT_TOL <= W.min() and W.max() <= 1.0 + STRICT_TOL):
+        raise InvariantViolation("probability range",
+                                 f"W spans [{W.min()!r}, {W.max()!r}]")
+    return W
 
 
-def walsh_average(weights: Tuple[np.ndarray, np.ndarray], state: NodeState) -> float:
-    """sum_s A(s) |psi^(s)|^2 + B(s) X(s) over the state's Walsh spectrum: one FWHT."""
-    A, B = weights
+def walsh_average(W: np.ndarray, state: NodeState, walk: str) -> float:
+    """sum_s W(s) |psi^(s)|^2 over the state's Walsh spectrum: one FWHT. The
+    two-shift walk averages over even targets, which read the even part of
+    the state, psi^ -> (psi^(s) + psi^(s~)) / 2; on even support that is psi^."""
     hat = _fwht(state.amplitudes) / math.sqrt(state.dim)
-    return float(A @ (hat.real ** 2 + hat.imag ** 2) + B @ (hat * hat[::-1].conj()).real)
+    if walk == OSKW:
+        hat = (hat + hat[::-1]) / 2.0
+    return float(W @ (hat.real ** 2 + hat.imag ** 2))
 
 
 def project_even_parity(state: NodeState) -> Tuple[NodeState, float]:

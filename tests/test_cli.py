@@ -544,10 +544,11 @@ def test_sweep_fig4_overwrites(tmp_path, capsys):
 
 
 def _count_kernel_builds(monkeypatch):
-    from qwsearch import walk
+    """Count the weight builds of the builder `walk_rows` calls."""
+    from qwsearch import runners
     builds = []
-    build = walk._adjoint_kernels
-    monkeypatch.setattr(walk, "_adjoint_kernels",
+    build = runners.walsh_weights
+    monkeypatch.setattr(runners, "walsh_weights",
                         lambda *args: builds.append(args) or build(*args))
     return builds
 

@@ -321,7 +321,7 @@ def test_engine_matches_forward_walk(n, variant, tau, metric):
         node, _ = project_even_parity(node)
     # odd tau: the two-shift walk drops the leftover round
     plan = IterationPlan.optimal(n) if tau is None else IterationPlan.explicit(tau)
-    got = walsh_average(walsh_weights(n, plan, variant, metric), node)
+    got = walsh_average(walsh_weights(n, plan, variant, metric), node, variant)
     assert abs(got - _forward_mean(node, plan, variant, metric)) <= 1e-12
 
 
@@ -329,7 +329,7 @@ def test_engine_matches_forward_walk(n, variant, tau, metric):
 @pytest.mark.parametrize("tau", [13, None])
 @pytest.mark.parametrize("n", [6, 7])
 def test_unprojected_two_shift_row_matches_even_target_mean(n, tau, metric):
-    # odd-parity weight left in: only the complement-paired term B keeps the
+    # odd-parity weight left in: only the even part's spectrum keeps the
     # average over even targets exact; two shifts per step keep the odd part
     # off the even targets, so the projected run scaled by the kept weight agrees
     node = make_random_node_state(n, seed=200 + n)

@@ -40,3 +40,15 @@ def test_deviation_scaling_small(monkeypatch, capsys):
     for n, _, max_dev, mean_dev, bound, _ in rows:
         assert float(bound) == round(3 / 2 ** (int(n) / 2), 6)
         assert 0.0 <= float(mean_dev) <= float(max_dev)
+
+
+def test_compare_outputs_finds_no_difference_on_one_tree():
+    script = _load("compare_outputs")
+    root = SCRIPTS.parent
+    commands = [c for c in script.COMMANDS if c[0] in ("skw", "measures haar")]
+    lines, floats, worst, mismatches = script.compare(root, root, commands)
+    assert (floats, worst, mismatches) == (0, 0.0, 0)
+    assert len(lines) == 2 and all(line.endswith("same") for line in lines)
+    # what it would count: a float cell's gap, an integer cell as a mismatch
+    assert script._float_gap("0.5", "0.25") == 0.25
+    assert script._float_gap("18", "19") is None

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from qwsearch import (OSKW, SKW, IterationPlan, WalkSpec,
                       WalkerState, build_dense_evolution, compose_walker,
                       evolve, evolve_dense, make_basis_node_state,
-                      make_uniform_node_state,
+                      make_random_node_state, make_uniform_node_state,
                       project_even_parity, success_probability,
-                      uniform_coin, walsh_weights)
+                      uniform_coin, walsh_average, walsh_weights)
 from qwsearch import walk
 from qwsearch.config import WALK_GUARD_N
 
@@ -278,28 +278,75 @@ def test_engine_rejects_unknown_metric():
 @pytest.mark.parametrize("metric", ["vertex", "gamma"])
 @pytest.mark.parametrize("n", [3, 8])
 def test_walsh_weights_are_averages(n, metric):
-    # A is a Walsh mode's target average, A + B an even pair's; no pairing
-    # term for the plain walk, and B = A for the parity-keeping two-shift walk
-    A, B = walsh_weights(n, IterationPlan.optimal(n), SKW, metric)
-    assert A.shape == (2 ** n,) and np.array_equal(B, np.zeros(2 ** n))
-    assert 0.0 <= A.min() and A.max() <= 1.0
-    A, B = walsh_weights(n, IterationPlan.optimal(n), OSKW, metric)
-    assert np.max(np.abs(B - A)) <= 1e-15
-    assert 0.0 <= A.min() and (A + B).max() <= 1.0
+    # W is a Walsh mode's target average for the plain walk and an even mode
+    # pair's for the two-shift walk: one array in [0, 1] either way
+    for variant in (SKW, OSKW):
+        W = walsh_weights(n, IterationPlan.optimal(n), variant, metric)
+        assert W.shape == (2 ** n,)
+        assert 0.0 <= W.min() and W.max() <= 1.0
 
 
-@pytest.mark.parametrize("variant,tau,fragment", [
-    (SKW, 5, "A spans"), (OSKW, 13, "A \\+ B spans"),
-])
-def test_walsh_weight_range_check_trips(monkeypatch, variant, tau, fragment):
+def _mode_and_pair_weights(n, plan, metric):
+    """The two-shift walk's A(s) = sum_d (H K_d(s))^2 / N and pair weight
+    B(s) = sum_d H K_d(s) H K_d(s~) / N, s~ = s XOR 1...1, from its kernels."""
+    kernels = walk._adjoint_kernels(_spec(n, variant=OSKW), plan)
+    if metric == "gamma":
+        kernels = kernels.sum(axis=0, keepdims=True) / math.sqrt(n)
+    spectrum = walk._fwht(kernels)
+    return (np.sum(spectrum ** 2, axis=0) / 2 ** n,
+            np.sum(spectrum * spectrum[:, ::-1], axis=0) / 2 ** n)
+
+
+@pytest.mark.parametrize("metric", ["vertex", "gamma"])
+@pytest.mark.parametrize("tau", [None, 5, 8])
+@pytest.mark.parametrize("n", range(3, 12))
+def test_two_shift_pair_weight_is_the_mode_weight(n, tau, metric):
+    # the kernels live on even vertices, so H K_d(s~) = H K_d(s) bit for bit,
+    # and the even pair's weight A + B is W = 2A
+    plan = IterationPlan.optimal(n) if tau is None else IterationPlan.explicit(tau)
+    A, B = _mode_and_pair_weights(n, plan, metric)
+    assert np.array_equal(B, A)
+    assert np.array_equal(walsh_weights(n, plan, OSKW, metric), A + B)
+
+
+@pytest.mark.parametrize("metric", ["vertex", "gamma"])
+@pytest.mark.parametrize("variant", [SKW, OSKW])
+@pytest.mark.parametrize("n", range(3, 11))
+def test_walsh_weight_is_a_shell_function(n, variant, metric):
+    # W depends on |s| alone, and W_w = W_{n-w}
+    W = walsh_weights(n, IterationPlan.optimal(n), variant, metric)
+    weight = np.array([s.bit_count() for s in range(2 ** n)])
+    shells = [W[weight == w] for w in range(n + 1)]
+    assert max(np.ptp(shell) for shell in shells) <= 1e-15
+    for w in range(n + 1):
+        assert abs(shells[w][0] - shells[n - w][0]) <= 1e-15
+
+
+@pytest.mark.parametrize("metric", ["vertex", "gamma"])
+@pytest.mark.parametrize("n", [4, 6])
+def test_two_shift_readout_is_the_even_target_mean(n, metric):
+    # an unprojected state: the even part's spectrum gives the mean over the
+    # even targets of one forward walk each
+    node = make_random_node_state(n, seed=300 + n)
+    plan = IterationPlan.optimal(n)
+    start = compose_walker(uniform_coin(n), node)
+    even = [t for t in range(2 ** n) if t.bit_count() % 2 == 0]
+    ref = math.fsum(success_probability(evolve(start, _spec(n, t, OSKW), plan), t, metric)
+                    for t in even) / len(even)
+    got = walsh_average(walsh_weights(n, plan, OSKW, metric), node, OSKW)
+    assert abs(got - ref) <= 1e-12
+
+
+@pytest.mark.parametrize("variant,tau", [(SKW, 5), (OSKW, 13)])
+def test_walsh_weight_range_check_trips(monkeypatch, variant, tau):
     from qwsearch import InvariantViolation
     plan = IterationPlan.explicit(tau)
-    A, B = walsh_weights(6, plan, variant, "vertex")
-    # scaled so that max(A + B) just passes 1; the two-shift walk's A stays below
-    scale = math.sqrt(1.01 / (A + B).max())
+    W = walsh_weights(6, plan, variant, "vertex")
+    # scaled so that max(W) just passes 1
+    scale = math.sqrt(1.01 / W.max())
     build = walk._adjoint_kernels
     monkeypatch.setattr(walk, "_adjoint_kernels", lambda *args: scale * build(*args))
-    with pytest.raises(InvariantViolation, match=fragment):
+    with pytest.raises(InvariantViolation, match="W spans"):
         walsh_weights(6, plan, variant, "vertex")
 
 
