@@ -7,8 +7,9 @@ Runs a fixed list of commands in both trees with `python -m qwsearch.cli`
 (PYTHONPATH=<tree>/src), each in its own $QWSEARCH_OUT temp directory, and
 compares the exit code, stdout and stderr (the temp path masked) and every
 CSV cell and summary field but wall_ms and wall_ms_total. Prints one line
-per command, then the number of differing float cells and the worst
-difference. Exits 1 on any other mismatch.
+per command (a changed stderr shown before and after), then the number of
+differing float cells and the worst difference. Exits 1 on any other
+mismatch.
 """
 import csv
 import json
@@ -53,8 +54,28 @@ COMMANDS = [
      _config("skw3", 8, "run.metric = gamma", "state.family = tilted",
              "state.s = 0.1, 0.5, 0.9")),
     ("skw", ["run", "cfg.txt"], _config("skw", 8)),
+    ("skw3 basis i=5", ["run", "cfg.txt"],
+     _config("skw3", 6, "state.family = basis", "state.i = 5")),
+    ("skw1 w", ["run", "cfg.txt"], _config("skw1", 7, "state.family = w")),
+    ("skw1 interpolated t", ["run", "cfg.txt"],
+     _config("skw1", 8, "run.seeds = 0, 1", "state.family = interpolated",
+             "state.t = 0, 0.35, 1")),
+    ("skw1 explicit", ["run", "cfg.txt"],
+     _config("skw1", 2, "state.family = explicit_amplitudes",
+             "state.amps = 0.6, 0, 0, 0.8j")),
     ("measures haar", ["measures", "haar:n=6,seed=2"], None),
     ("missing config", ["run", "absent.txt"], None),
+    # refusals
+    ("measures tilted s=2", ["measures", "tilted:n=3,s=2"], None),
+    ("measures ghz beta", ["measures", "ghz:n=3,beta=2"], None),
+    ("measures explicit 3", ["measures", "explicit:amps=1,0,0"], None),
+    ("state.t = 1.5", ["run", "cfg.txt"],
+     _config("skw1", 4, "state.family = interpolated", "state.t = 1.5")),
+    ("state.s sweep to 2", ["run", "cfg.txt"],
+     _config("skw3", 4, "run.seeds = 0, 1", "state.family = tilted",
+             "state.s = 0.5, 0.7, 2")),
+    ("unknown family", ["run", "cfg.txt"],
+     _config("skw1", 4, "state.family = hologram")),
 ]
 
 
@@ -110,8 +131,9 @@ def compare(parent, change, commands=COMMANDS):
     lines, floats, worst, mismatches = [], 0, 0.0, 0
     for label, argv, config in commands:
         old, new = run(parent, argv, config), run(change, argv, config)
-        problems = [what for what, a, b in zip(("exit code", "stdout", "stderr"),
-                                               old[:3], new[:3]) if a != b]
+        problems = [f"stderr {a.strip()!r} vs {b.strip()!r}" if what == "stderr" else what
+                    for what, a, b in zip(("exit code", "stdout", "stderr"),
+                                          old[:3], new[:3]) if a != b]
         if sorted(old[3]) != sorted(new[3]):
             problems.append(f"files {sorted(old[3])} vs {sorted(new[3])}")
         cells = gaps = 0

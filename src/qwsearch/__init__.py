@@ -20,8 +20,8 @@ from .walk import (OSKW, SKW, IterationPlan, WalkSpec, project_even_parity,
 from .measures import (LocalLayer, ResourceReport, best_pauli_basis,
                        coherence_fraction, even_coherence_fraction,
                        fidelity_coherence, groverian_entanglement,
-                       hadamard_layer, identity_layer,
-                       optimize_local_layer_detailed, pauli_layer)
+                       hadamard_layer, optimize_local_layer_detailed,
+                       pauli_layer)
 from .runners import (PreparedRow, RunResult, predicted_probability,
                       prepare_oskw1, prepare_skw1, prepare_skw2_rows,
                       prepare_skw3, walk_rows)
@@ -44,8 +44,8 @@ __all__ = [
     "walsh_average", "walsh_weights",
     "LocalLayer", "ResourceReport", "best_pauli_basis", "coherence_fraction",
     "enumerate_pauli_layers", "even_coherence_fraction", "fidelity_coherence",
-    "groverian_entanglement", "hadamard_layer", "identity_layer",
-    "optimize_local_layer_detailed", "pauli_layer",
+    "groverian_entanglement", "hadamard_layer", "optimize_local_layer_detailed",
+    "pauli_layer",
     "PreparedRow", "RunResult", "predicted_probability", "prepare_oskw1",
     "prepare_skw1", "prepare_skw2_rows", "prepare_skw3", "walk_rows",
     "DenseOperator", "WalkerState", "build_dense_evolution", "compose_walker",

@@ -26,8 +26,8 @@ import os
 import re
 import sys
 from dataclasses import dataclass
-from typing import (Callable, Dict, Iterable, Iterator, List, Mapping,
-                    NamedTuple, Optional, Sequence, Tuple)
+from typing import (Dict, Iterator, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
@@ -36,11 +36,8 @@ from .measures import ResourceReport, groverian_entanglement
 from .oracle import oracle_suite
 from .runners import (VARIANTS, PreparedRow, RunResult, predicted_probability,
                       walk_rows)
-from .states import (MixedEnsemble, NodeState, make_basis_node_state,
-                     make_even_uniform_node_state, make_ghz_node_state,
-                     make_interpolated_node_state, make_random_node_state,
-                     make_tilted_node_state, make_uniform_node_state,
-                     make_w_node_state)
+from .states import (FAMILIES, FAMILY_NAMES, REQUIRED, ROW_SEED, MixedEnsemble,
+                     NodeState, Param, check_range)
 from .walk import IterationPlan
 
 OUT_ENV = "QWSEARCH_OUT"
@@ -54,75 +51,25 @@ class ConfigError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# state families
+# state families (the registry is states.FAMILIES)
 
-def _explicit_state(amps: str, n: Optional[int] = None) -> NodeState:
-    """Comma-separated complex amplitudes, normalized; n, when given, must match."""
-    vec = np.array([complex(a) for a in amps.split(",")])
-    if vec.size < 4 or vec.size & (vec.size - 1):
-        raise ConfigError("explicit amplitudes need a power-of-two "
-                          f"length >= 4, got {vec.size}")
-    if not np.isfinite(vec).all():
-        raise ConfigError(f"explicit amplitudes must be finite, got {amps!r}")
-    norm = float(np.linalg.norm(vec))
-    if norm <= 0:
-        raise ConfigError("explicit amplitudes are all zero")
-    state = NodeState(int(vec.size).bit_length() - 1, vec / norm)
-    if n is not None and state.n != n:
-        raise ConfigError(f"state.amps encodes n={state.n} qubits but run.n = {n}")
-    return state
+def _param(family: str, name: str) -> Param:
+    """The registry entry of a parameter the family takes."""
+    if name not in FAMILIES[family].params:
+        raise ConfigError(f"state family {family!r} does not take {name}")
+    return FAMILIES[family].params[name]
 
 
-class _Family(NamedTuple):
-    make: Optional[Callable[..., NodeState]]   # None: built from members
-    params: Mapping[str, object]               # parameter -> default
-    alias: Optional[str] = None
-
-
-_REQUIRED = object()    # parameter without a default
-_ROW_SEED = object()    # defaults to the row's seed
-_FAMILIES = {
-    "uniform": _Family(make_uniform_node_state, {"n": _REQUIRED}),
-    "basis": _Family(make_basis_node_state, {"n": _REQUIRED, "i": 0}),
-    "haar_random": _Family(make_random_node_state,
-                           {"n": _REQUIRED, "seed": _ROW_SEED}, "haar"),
-    "interpolated": _Family(make_interpolated_node_state,
-                            {"n": _REQUIRED, "t": 1.0}),
-    "ghz": _Family(make_ghz_node_state, {"n": _REQUIRED, "alpha": math.pi / 4}),
-    "w": _Family(make_w_node_state, {"n": _REQUIRED}),
-    "tilted": _Family(make_tilted_node_state, {"n": _REQUIRED, "s": 1.0}),
-    "even_uniform": _Family(make_even_uniform_node_state, {"n": _REQUIRED}),
-    "explicit_amplitudes": _Family(_explicit_state,
-                                   {"amps": _REQUIRED, "n": None}, "explicit"),
-    "mixed_ensemble": _Family(None, {}, "mixed"),
-}
-_FAMILY_NAMES = {**{f.alias: name for name, f in _FAMILIES.items() if f.alias},
-                 **{name: name for name in _FAMILIES}}
-
-
-def _check_params(family: str, names: Iterable[str]) -> None:
-    """Reject any parameter the family's table does not list."""
-    for name in names:
-        if name not in _FAMILIES[family].params:
-            raise ConfigError(f"state family {family!r} does not take {name}")
-
-
-def _build_state(family: str, values: Mapping[str, object],
-                 seed: int) -> NodeState:
+def _build_state(family: str, values: Mapping[str, object], seed: int) -> NodeState:
     """A family's state from typed parameter values; the rest take defaults."""
-    make, params, _ = _FAMILIES[family]
-    kwargs = {}
-    for name, default in params.items():
-        if name in values:
-            kwargs[name] = values[name]
-        elif default is _REQUIRED:
+    make, params, _ = FAMILIES[family]
+    kwargs = {name: values.get(name, seed if p.default is ROW_SEED else p.default)
+              for name, p in params.items()}
+    for name, value in kwargs.items():
+        if value is REQUIRED:
             raise ConfigError(f"state family {family!r} needs {name}=...")
-        else:
-            kwargs[name] = seed if default is _ROW_SEED else default
     try:
         return make(**kwargs)
-    except ConfigError:
-        raise
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"bad {family} state: {exc}") from None
 
@@ -130,18 +77,13 @@ def _build_state(family: str, values: Mapping[str, object],
 # ---------------------------------------------------------------------------
 # config parsing
 
-def _to_int(key: str, value: str) -> int:
+def _to(kind: type, key: str, value: str):
+    """Text as an int, a float or a str (a registry parameter's type)."""
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise ConfigError(f"{key}: expected an integer, got {value!r}") from None
-
-
-def _to_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+        words = "an integer" if kind is int else "a number"
+        raise ConfigError(f"{key}: expected {words}, got {value!r}") from None
 
 
 def _to_bool(key: str, value: str) -> bool:
@@ -153,16 +95,15 @@ def _to_bool(key: str, value: str) -> bool:
     raise ConfigError(f"{key}: expected a boolean, got {value!r}")
 
 
-# every state parameter with its type, for both grammars, in the order a
-# config's "does not take" check names them; a config sets state.<name>,
-# except n and seed, which come from run.n and run.seeds
-_STATE_PARAMS = {"i": _to_int, "t": _to_float, "alpha": _to_float, "s": _to_float,
-                 "amps": lambda key, value: value, "n": _to_int, "seed": _to_int}
+# state.<name> for each registry parameter but n and seed (run.n, run.seeds)
+_STATE_NAMES = tuple(dict.fromkeys(name for family in FAMILIES.values()
+                                   for name in family.params
+                                   if name not in ("n", "seed")))
 _KNOWN_KEYS = {
     "experiment.id", "run.variant", "run.n", "run.tau", "run.seeds",
     "run.restarts", "run.measure_entanglement", "run.metric", "state.family",
     "state.members", "output.csv", "output.summary",
-    *(f"state.{name}" for name in _STATE_PARAMS if name not in ("n", "seed")),
+    *(f"state.{name}" for name in _STATE_NAMES),
 }
 _MEMBER_KEY = re.compile(r"^state\.member(\d+)\.(weight|spec)$")
 
@@ -221,12 +162,20 @@ def _cube_size(name: str, n: int) -> int:
     return n
 
 
-def _param_value(key: str, value: str, parse: Callable[[str, str], object]):
-    """A config parameter's value; a comma list of numbers sweeps it."""
-    if parse is not _to_float:
-        return parse(key, value)
-    # with no number in the list, parsing the whole value names the fault
-    vals = [parse(key, p) for p in value.split(",") if p.strip()] or [parse(key, value)]
+def _param_value(family: str, name: str, value: str):
+    """A config's state.<name> value, inside its registered range; a comma list
+    of numbers sweeps it, and each number is checked."""
+    key, kind = f"state.{name}", _param(family, name).type
+    if kind is not float:
+        vals = [_to(kind, key, value)]
+    else:   # with no number in the list, parsing the whole value names the fault
+        vals = ([_to(float, key, p) for p in value.split(",") if p.strip()]
+                or [_to(float, key, value)])
+    for v in vals:
+        try:
+            check_range(family, name, v)
+        except ValueError as exc:
+            raise ConfigError(f"{key}: bad {family} state: {exc}") from None
     return vals if len(vals) > 1 else vals[0]
 
 
@@ -267,27 +216,21 @@ def parse_config(text: str) -> ExperimentConfig:
                                   "own start state")
     if "run.n" not in kv:
         raise ConfigError("missing required key 'run.n'")
-    n = _cube_size("run.n", _to_int("run.n", kv["run.n"]))
+    n = _cube_size("run.n", _to(int, "run.n", kv["run.n"]))
 
-    tau = _to_int("run.tau", kv["run.tau"]) if "run.tau" in kv else None
+    tau = _to(int, "run.tau", kv["run.tau"]) if "run.tau" in kv else None
     _at_least("run.tau", tau, 0)
-    seeds = tuple(_at_least("run.seeds", _to_int("run.seeds", s), 0)
+    seeds = tuple(_at_least("run.seeds", _to(int, "run.seeds", s), 0)
                   for s in kv.get("run.seeds", "0").split(","))
 
     family = kv.get("state.family", "uniform").lower()
-    family = _FAMILY_NAMES.get(family, family)
-    if family not in _FAMILIES:
-        raise ConfigError(f"state.family must be one of {tuple(_FAMILIES)}, "
+    family = FAMILY_NAMES.get(family, family)
+    if family not in FAMILIES:
+        raise ConfigError(f"state.family must be one of {tuple(FAMILIES)}, "
                           f"got {family!r}")
 
-    params = {name: _param_value(f"state.{name}", kv[f"state.{name}"], parse)
-              for name, parse in _STATE_PARAMS.items() if f"state.{name}" in kv}
-    _check_params(family, params)
-    t_vals = params.get("t")
-    if t_vals is not None:
-        for t in (t_vals if isinstance(t_vals, list) else [t_vals]):
-            if not 0.0 <= t <= 1.0:
-                raise ConfigError(f"state.t values must lie in [0, 1], got {t}")
+    params = {name: _param_value(family, name, kv[f"state.{name}"])
+              for name in _STATE_NAMES if f"state.{name}" in kv}
 
     member_list: List[Tuple[float, str]] = []
     measure_entanglement = _to_bool("run.measure_entanglement",
@@ -297,7 +240,7 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ConfigError(f"{variant} needs a pure state family")
         if measure_entanglement:
             raise ConfigError("run.measure_entanglement needs a pure state family")
-        count = _to_int("state.members", kv.get("state.members", "0"))
+        count = _to(int, "state.members", kv.get("state.members", "0"))
         if count < 1:
             raise ConfigError("mixed_ensemble needs state.members >= 1")
         for idx in range(1, count + 1):
@@ -306,7 +249,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 raise ConfigError(
                     f"member {idx} needs both state.member{idx}.weight and .spec"
                 )
-            member_list.append((_to_float(f"state.member{idx}.weight",
+            member_list.append((_to(float, f"state.member{idx}.weight",
                                           entry["weight"]), entry["spec"]))
             # refused before any state is built (explicit amps: once built)
             spec_n = _parse_spec(entry["spec"])[1].get("n", n)
@@ -321,7 +264,7 @@ def parse_config(text: str) -> ExperimentConfig:
     metric = kv.get("run.metric", "vertex")
     if metric not in ("vertex", "gamma"):
         raise ConfigError(f"run.metric must be vertex or gamma, got {metric!r}")
-    restarts = (_to_int("run.restarts", kv["run.restarts"])
+    restarts = (_to(int, "run.restarts", kv["run.restarts"])
                 if "run.restarts" in kv else None)
     _at_least("run.restarts", restarts, 1)
 
@@ -356,20 +299,16 @@ def load_config(path: str) -> ExperimentConfig:
 # state specs (also the grammar for the `measures` subcommand)
 
 def parse_state_spec(spec: str, default_seed: int) -> NodeState:
-    """Build a state from 'family:key=value,key=value'.
-
-    Families: uniform:n=4; basis:n=3,i=5; haar:n=8,seed=7; ghz:n=3[,alpha=...];
-    w:n=3; interpolated:n=8,t=0.5; tilted:n=8,s=0.9; even_uniform:n=9;
-    explicit:amps=0.6,0,0,0.8j (normalized for you).
-    """
+    """Build a state from 'family:key=value,...', e.g. haar:n=8,seed=7 or
+    explicit:amps=0.6,0,0,0.8j; states.FAMILIES lists the families."""
     return _build_state(*_parse_spec(spec), default_seed)
 
 
 def _parse_spec(spec: str) -> Tuple[str, Dict[str, object]]:
     """A spec's family and typed values; n past the walk size guard is refused."""
     family, _, rest = spec.partition(":")
-    family = _FAMILY_NAMES.get(family.strip().lower())
-    if family is None or _FAMILIES[family].make is None:
+    family = FAMILY_NAMES.get(family.strip().lower())
+    if family is None or FAMILIES[family].make is None:
         raise ConfigError(f"unknown state family in {spec!r}")
     kv: Dict[str, str] = {}
     if rest.strip():
@@ -385,8 +324,8 @@ def _parse_spec(spec: str) -> Tuple[str, Dict[str, object]]:
                     raise ConfigError(f"bad state spec fragment {part!r} in {spec!r}")
                 key, _, value = part.partition("=")
                 kv[key.strip()] = value.strip()
-    _check_params(family, kv)
-    values = {key: _STATE_PARAMS[key](key, value) for key, value in kv.items()}
+    params = {key: _param(family, key) for key in kv}   # every name before any value
+    values = {key: _to(params[key].type, key, value) for key, value in kv.items()}
     if values.get("n", 0) > WALK_GUARD_N:
         _cube_size(f"{spec!r}: n", values["n"])
     return family, values
@@ -405,7 +344,10 @@ def _config_state(cfg: ExperimentConfig, seed: int, sweep_value: Optional[float]
             raise ConfigError(f"bad mixed ensemble: {exc}") from None
     values = {key: sweep_value if isinstance(value, list) else value
               for key, value in cfg.family_params.items()}
-    return _build_state(cfg.state_family, {**values, "n": cfg.n}, seed)
+    state = _build_state(cfg.state_family, {**values, "n": cfg.n}, seed)
+    if state.n != cfg.n:   # explicit amplitudes carry their own n
+        raise ConfigError(f"state.amps encodes n={state.n} qubits but run.n = {cfg.n}")
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +443,7 @@ def _row_groups(cfg: ExperimentConfig) -> Iterator[List[PreparedRow]]:
     variant = VARIANTS[cfg.variant]
     inputs = {"restarts": cfg.restarts, "measure_entanglement": cfg.measure_entanglement}
     kwargs = {name: inputs[name] for name in variant.takes}
-    # _check_params leaves at most one list: no family takes two floats
+    # at most one value is a list: no family takes two floats
     sweep_values = next((v for v in cfg.family_params.values()
                          if isinstance(v, list)), [None])
     pairs = [(value, seed) for value in sweep_values for seed in cfg.seeds]

@@ -51,10 +51,6 @@ class LocalLayer:
         object.__setattr__(self, "factors", factors)
 
 
-def identity_layer(n: int) -> LocalLayer:
-    return LocalLayer(tuple(np.eye(2, dtype=np.complex128) for _ in range(n)))
-
-
 def hadamard_layer(n: int) -> LocalLayer:
     return LocalLayer(tuple(_HADAMARD for _ in range(n)))
 

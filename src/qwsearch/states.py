@@ -1,4 +1,5 @@
-"""Node states and mixed ensembles for the hypercube walk.
+"""Node states, mixed ensembles and `FAMILIES`, the registry of each state
+family's constructor, alias and parameters (type, default and range).
 
 Bit convention used everywhere: a vertex x is an n-bit integer, qubit j is
 bit j with bit 0 least significant, and direction d flips bit d. A flat
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Union
+from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -87,7 +88,7 @@ StateLike = Union[NodeState, MixedEnsemble]
 
 
 # ---------------------------------------------------------------------------
-# constructors
+# constructors and their registry
 
 def make_uniform_node_state(n: int) -> NodeState:
     """The maximal coherent state: every amplitude 1/sqrt(2**n)."""
@@ -148,8 +149,7 @@ def make_w_node_state(n: int) -> NodeState:
 
 def make_interpolated_node_state(n: int, t: float) -> NodeState:
     """Normalized t*uniform + (1-t)*basis(0), sweeping the coherence fraction."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"interpolation parameter t={t} outside [0, 1]")
+    check_range("interpolated", "t", t)
     u = make_uniform_node_state(n).amplitudes
     e0 = np.zeros_like(u)
     e0[0] = 1.0
@@ -159,12 +159,73 @@ def make_interpolated_node_state(n: int, t: float) -> NodeState:
 
 def make_tilted_node_state(n: int, s: float) -> NodeState:
     """sqrt(s)|0> + sqrt((1-s)/(N-1)) on the rest; max |a_x|^2 = s for s >= 1/N."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"tilt parameter s={s} outside [0, 1]")
+    check_range("tilted", "s", s)
     N = 1 << n
     amps = np.full(N, math.sqrt((1.0 - s) / (N - 1)), dtype=np.complex128)
     amps[0] = math.sqrt(s)
     return NodeState(n, amps)
+
+
+def make_explicit_node_state(amps: str) -> NodeState:
+    """Comma-separated complex amplitudes, normalized; n is log2 of their count."""
+    vec = np.array([complex(a) for a in amps.split(",")])
+    if vec.size < 4 or vec.size & (vec.size - 1):
+        raise ValueError("explicit amplitudes need a power-of-two "
+                         f"length >= 4, got {vec.size}")
+    if not np.isfinite(vec).all():
+        raise ValueError(f"explicit amplitudes must be finite, got {amps!r}")
+    norm = float(np.linalg.norm(vec))
+    if norm <= 0:
+        raise ValueError("explicit amplitudes are all zero")
+    return NodeState(int(vec.size).bit_length() - 1, vec / norm)
+
+
+REQUIRED = object()    # a parameter without a default
+ROW_SEED = object()    # a parameter that defaults to the row's seed
+
+
+class Param(NamedTuple):
+    """A constructor parameter's type, default and, when bounded, range."""
+
+    type: type                                          # int, float or str
+    default: object = REQUIRED                          # or ROW_SEED, or a value
+    range: Optional[Tuple[str, float, float]] = None    # (its name, low, high)
+
+
+class Family(NamedTuple):
+    make: Optional[Callable[..., NodeState]]    # None: built from members
+    params: Mapping[str, Param]                 # in constructor order
+    alias: Optional[str] = None
+
+
+_N = Param(int)
+FAMILIES = {
+    "uniform": Family(make_uniform_node_state, {"n": _N}),
+    "basis": Family(make_basis_node_state, {"n": _N, "i": Param(int, 0)}),
+    "haar_random": Family(make_random_node_state,
+                          {"n": _N, "seed": Param(int, ROW_SEED)}, "haar"),
+    "interpolated": Family(make_interpolated_node_state, {
+        "n": _N, "t": Param(float, 1.0, ("interpolation parameter", 0.0, 1.0))}),
+    "ghz": Family(make_ghz_node_state, {"n": _N, "alpha": Param(float, math.pi / 4)}),
+    "w": Family(make_w_node_state, {"n": _N}),
+    "tilted": Family(make_tilted_node_state, {
+        "n": _N, "s": Param(float, 1.0, ("tilt parameter", 0.0, 1.0))}),
+    "even_uniform": Family(make_even_uniform_node_state, {"n": _N}),
+    "explicit_amplitudes": Family(make_explicit_node_state, {"amps": Param(str)},
+                                  "explicit"),
+    "mixed_ensemble": Family(None, {}, "mixed"),
+}
+FAMILY_NAMES = {**{f.alias: name for name, f in FAMILIES.items() if f.alias},
+                **{name: name for name in FAMILIES}}
+
+
+def check_range(family: str, name: str, value) -> None:
+    """Refuse a value outside its parameter's registered range (NaN too)."""
+    bounds = FAMILIES[family].params[name].range
+    if bounds is not None:
+        what, low, high = bounds
+        if not low <= value <= high:
+            raise ValueError(f"{what} {name}={value} outside [{low:g}, {high:g}]")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import re
 import numpy as np
 import pytest
 
-from qwsearch import cli
+from qwsearch import cli, states
 from qwsearch.cli import CSV_COLUMNS, main, parse_config
 
 
@@ -397,14 +397,33 @@ def test_spec_n_refused_before_the_state_is_built(tmp_path, monkeypatch, capsys,
                                                   argv):
     def never(**kwargs):
         raise AssertionError("state built past the walk size guard")
-    family = cli._FAMILIES["haar_random"]
-    monkeypatch.setitem(cli._FAMILIES, "haar_random", family._replace(make=never))
+    family = states.FAMILIES["haar_random"]
+    monkeypatch.setitem(states.FAMILIES, "haar_random", family._replace(make=never))
     monkeypatch.chdir(tmp_path)
     _write(tmp_path / "mix.cfg", "experiment.id = demo\nrun.variant = skw1\n"
            "run.n = 4\nstate.family = mixed_ensemble\nstate.members = 1\n"
            "state.member1.weight = 1\nstate.member1.spec = haar:n=21\n")
     assert main(argv) == 2
     assert "n must be <= 20 (walk size guard), got 21" in capsys.readouterr().err
+
+
+def test_bad_swept_value_refused_before_any_row_is_prepared(tmp_path, monkeypatch,
+                                                            capsys):
+    from qwsearch.runners import VARIANTS
+    calls = []
+    prepare = VARIANTS["skw3"].prepare
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return prepare(*args, **kwargs)
+    monkeypatch.setitem(VARIANTS, "skw3", VARIANTS["skw3"]._replace(prepare=counted))
+    cfg = _write(tmp_path / "sweep.cfg",
+                 "experiment.id = demo\nrun.variant = skw3\nrun.n = 4\n"
+                 "run.seeds = 0, 1\nstate.family = tilted\nstate.s = 0.5, 0.7, 2\n")
+    assert main(["run", cfg]) == 2
+    assert ("config error: state.s: bad tilted state: tilt parameter s=2.0 "
+            "outside [0, 1]") in capsys.readouterr().err
+    assert calls == []
 
 
 def test_oskw_size_refused_before_any_state_is_built(tmp_path, monkeypatch, capsys):
@@ -422,7 +441,7 @@ def test_member_n_refused_before_any_member_is_built(tmp_path, monkeypatch, caps
     def never(**kwargs):
         raise AssertionError("member built before its n was checked")
     for name in ("uniform", "haar_random"):
-        monkeypatch.setitem(cli._FAMILIES, name, cli._FAMILIES[name]._replace(make=never))
+        monkeypatch.setitem(states.FAMILIES, name, states.FAMILIES[name]._replace(make=never))
     monkeypatch.chdir(tmp_path)
     cfg = _write(tmp_path / "mix.cfg", "experiment.id = demo\nrun.variant = skw1\n"
                  "run.n = 4\nstate.family = mixed_ensemble\nstate.members = 2\n"

@@ -65,6 +65,24 @@ def test_cli_binds_no_prepare_name():
     assert [name for name in vars(qwsearch.cli) if name.startswith("prepare_")] == []
 
 
+def test_cli_builds_states_through_the_registry_only():
+    # the family registry lives beside the constructors in states.py; cli.py
+    # keeps the grammars, and its state.* keys are the registry's parameters
+    import qwsearch.cli as cli
+    from qwsearch.states import FAMILIES, FAMILY_NAMES
+    imported = [alias.name for node in ast.walk(ast.parse((SRC / "cli.py").read_text()))
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert [name for name in imported if name.startswith("make_")] == []
+    tables = [name for name, value in vars(cli).items()
+              if isinstance(value, dict) and set(value) & set(FAMILIES)
+              and not any(value is table for table in (FAMILIES, FAMILY_NAMES))]
+    assert tables == []
+    state_keys = {key for key in cli._KNOWN_KEYS if key.startswith("state.")}
+    params = {name for family in FAMILIES.values() for name in family.params}
+    assert state_keys - {"state.family", "state.members"} == {
+        f"state.{name}" for name in params - {"n", "seed"}}
+
+
 def test_layering_check_sees_oracle_imports():
     # the package root re-exports the oracle, so the check has something to find
     assert "evolve_dense" in _oracle_imports("__init__")

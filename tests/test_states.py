@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from qwsearch import (LocalLayer, MixedEnsemble, NodeState, WalkerState,
                       apply_local_layer, compose_walker, hadamard_layer,
-                      identity_layer,
                       make_basis_node_state, make_even_uniform_node_state,
                       make_ghz_node_state, make_interpolated_node_state,
                       make_random_node_state, make_tilted_node_state,
@@ -103,7 +102,7 @@ def test_overlap_conjugate_symmetric(seed_a, seed_b, n):
 
 def test_identity_layer_is_noop():
     s = make_random_node_state(3, seed=2)
-    out = apply_local_layer(s, identity_layer(3))
+    out = apply_local_layer(s, LocalLayer((np.eye(2),) * 3))
     assert np.allclose(out.amplitudes, s.amplitudes, atol=1e-15)
 
 
