@@ -7,9 +7,10 @@ Runs a fixed list of commands in both trees with `python -m qwsearch.cli`
 (PYTHONPATH=<tree>/src), each in its own $QWSEARCH_OUT temp directory, and
 compares the exit code, stdout and stderr (the temp path masked) and every
 CSV cell and summary field but wall_ms and wall_ms_total. Prints one line
-per command (a changed stderr shown before and after), then the number of
-differing float cells and the worst difference. Exits 1 on any other
-mismatch.
+per command (each changed stdout or stderr line shown before and after),
+the worst difference per CSV column or summary field whose floats differ,
+then the number of differing float cells and the worst difference. Exits 1
+on any other mismatch.
 """
 import csv
 import json
@@ -50,6 +51,9 @@ COMMANDS = [
              "state.member2.weight = 0.7", "state.member2.spec = haar:n=6,seed=4")),
     ("skw2 haar", ["run", "cfg.txt"],
      _config("skw2", 7, "run.seeds = 0, 1, 2", "state.family = haar_random")),
+    ("skw2 haar n=8 x12", ["run", "cfg.txt"],
+     _config("skw2", 8, "run.seeds = " + ", ".join(map(str, range(12))),
+             "state.family = haar_random")),
     ("skw3 tilted gamma", ["run", "cfg.txt"],
      _config("skw3", 8, "run.metric = gamma", "state.family = tilted",
              "state.s = 0.1, 0.5, 0.9")),
@@ -64,6 +68,7 @@ COMMANDS = [
      _config("skw1", 2, "state.family = explicit_amplitudes",
              "state.amps = 0.6, 0, 0, 0.8j")),
     ("measures haar", ["measures", "haar:n=6,seed=2"], None),
+    ("measures haar n=8 s15", ["measures", "haar:n=8,seed=15"], None),
     ("missing config", ["run", "absent.txt"], None),
     # refusals
     ("measures tilted s=2", ["measures", "tilted:n=3,s=2"], None),
@@ -129,11 +134,15 @@ def _float_gap(a, b):
 def compare(parent, change, commands=COMMANDS):
     """Lines to print, float cells that differ, the worst gap, and mismatches."""
     lines, floats, worst, mismatches = [], 0, 0.0, 0
+    columns = {}   # CSV column or dotted summary field -> (cells differing, worst)
     for label, argv, config in commands:
         old, new = run(parent, argv, config), run(change, argv, config)
-        problems = [f"stderr {a.strip()!r} vs {b.strip()!r}" if what == "stderr" else what
-                    for what, a, b in zip(("exit code", "stdout", "stderr"),
-                                          old[:3], new[:3]) if a != b]
+        problems = ["exit code"] if old[0] != new[0] else []
+        problems += [f"{what} {a!r} vs {b!r}"   # each changed line, before and after
+                     for what, i in (("stdout", 1), ("stderr", 2))
+                     for a, b in zip(old[i].splitlines(), new[i].splitlines()) if a != b]
+        problems += [f"{what} line count" for what, i in (("stdout", 1), ("stderr", 2))
+                     if len(old[i].splitlines()) != len(new[i].splitlines())]
         if sorted(old[3]) != sorted(new[3]):
             problems.append(f"files {sorted(old[3])} vs {sorted(new[3])}")
         cells = gaps = 0
@@ -152,11 +161,18 @@ def compare(parent, change, commands=COMMANDS):
                     problems.append(f"{name} {key}: {a!r} vs {b!r}")
                 else:
                     gaps, worst = gaps + 1, max(worst, gap)
+                    column = field if name.endswith(".csv") else ".".join(key)
+                    count, most = columns.get(column, (0, 0.0))
+                    columns[column] = (count + 1, max(most, gap))
         floats += gaps
         mismatches += bool(problems)
         status = "; ".join(problems) if problems else "same"
         lines.append(f"{label:<24} exit {old[0]}  {cells} fields  "
                      f"{gaps} float cells differ  {status}")
+    if columns:
+        lines.append("worst difference per column:")
+        lines += [f"  {column:<24} {count:>4} cells  worst {most!r}"
+                  for column, (count, most) in sorted(columns.items())]
     return lines, floats, worst, mismatches
 
 

@@ -6,7 +6,10 @@ C_f = sqrt(1 - max_i |a_i|^2), and the Groverian entanglement
 E_g = sqrt(1 - Lambda^2) with Lambda^2 the best squared overlap with any
 product state. f_c and C_f are closed-form; Lambda^2 comes from an
 alternating single-site maximizer with random restarts, so the reported
-overlap is a lower bound and E_g an upper bound.
+overlap is a lower bound and E_g an upper bound. A restart whose sweeps
+gain slowly extrapolates along its last move and keeps the step only if
+the sweep from there gains, so its overlap never falls; a report's
+`sweeps` counts every sweep a restart ran, rejected steps included.
 """
 
 from __future__ import annotations
@@ -129,12 +132,25 @@ def _hopm(states: Sequence[NodeState], restarts: int,
     (n, seed, r) alone, so each distinct seed's starts are drawn once and
     shared by every state with that seed. A sweep sets each factor in turn,
     qubit 0 (psi's leading axis) first, to the normalized contraction of psi
-    with the new factors before it and the old ones after it. Live restarts
-    carry conjugated factors in a pool of slots, written back once their gain
-    drops below OVERLAP_TOL or at HOPM_SWEEP_CAP; the slot then takes the next
-    pending restart, state-major. The pool holds two states' restarts at most
-    and slots x N/2 entries under HOPM_BATCH_ENTRIES; products are per
-    restart, so no bit depends on the pool.
+    with the new factors before it and the old ones after it.
+
+    Plain sweeps converge linearly, so a restart that has run 3 sweeps and
+    whose last gain is more than half the gain before it takes a step: its
+    next sweep starts from u + beta (u - u_prev), each qubit renormalized,
+    where u are its factors and u_prev those before its last accepted sweep
+    (Rajih, Comon & Harshman, SIAM J. Matrix Anal. Appl. 30, 1128, 2008).
+    A step whose sweep ends no higher than the overlap before it is undone:
+    the restart goes back to u, beta halves (not below 1) and the next sweep
+    is plain. An accepted step grows beta 1.5x. So the overlap never falls;
+    the sweep count includes rejected steps, and the stop rule reads the gain
+    over the overlap before the sweep or step.
+
+    Live restarts carry conjugated factors in a pool of slots, written back
+    once an accepted sweep gains less than OVERLAP_TOL or at HOPM_SWEEP_CAP;
+    the slot then takes the next pending restart, state-major. The pool holds
+    two states' restarts at most and slots x N/2 entries under
+    HOPM_BATCH_ENTRIES; products are per restart and the step state is
+    updated under masks, so no bit depends on the pool.
     """
     n, total = states[0].n, len(states) * restarts
     psis = np.array([s.amplitudes.reshape((2,) * n).T.reshape(2, -1) for s in states])
@@ -147,6 +163,11 @@ def _hopm(states: Sequence[NodeState], restarts: int,
     # a row group's slots carry their own psi; one state's psi broadcasts
     psi = psis[live // restarts] if len(states) > 1 else psis
     cu, prev, m = np.conj(us[live]), np.zeros(pool), 0
+    # per slot: the factors before this sweep or step (u_prev once it ends),
+    # beta, the last accepted gain (set by a restart's own first sweep) and
+    # whether this sweep is a step
+    before, beta, last = cu.copy(), np.ones(pool), np.zeros(pool)
+    stepped = np.zeros(pool, bool)
     while live.size:
         if live.size != m:  # per live set: site vector, suffix slots and steps
             m, v = live.size, np.empty((live.size, 2, 1), complex)
@@ -163,9 +184,22 @@ def _hopm(states: Sequence[NodeState], restarts: int,
             np.matmul(prefix, suf[j][:, :, None], out=v)
             nv = np.sqrt(w[:, None] @ w[:, :, None])[:, 0]
             np.divide(np.conj(v[:, :, 0]), nv, out=cu[:, j], where=nv > 0.0)
-        age += 1  # sweeps each live restart has run
+        age += 1  # sweeps each live restart has run, rejected steps included
         now = nv[:, 0]
-        done = now - prev < OVERLAP_TOL
+        # the step rule's numbers: a restart steps once it has run 3 sweeps,
+        # so that two real gains exist, and while its last gain is over half
+        # the one before, the sign of a slow linear approach; beta grows 1.5x
+        # per accepted step and halves, not below 1, per undone one
+        back = stepped & (now <= prev)
+        if stepped.any():
+            np.copyto(cu, before, where=back[:, None, None])
+            now = np.where(back, prev, now)
+            beta = np.where(back, np.maximum(0.5 * beta, 1.0),
+                            np.where(stepped, 1.5 * beta, beta))
+        gain = now - prev
+        done = (gain < OVERLAP_TOL) & ~back
+        stepped = (age >= 3) & (gain > 0.5 * last) & ~back  # for the next sweep
+        last = np.where(back, last, gain)
         leave = done | (age == HOPM_SWEEP_CAP)
         if leave.any():
             gone = live[leave]
@@ -175,13 +209,25 @@ def _hopm(states: Sequence[NodeState], restarts: int,
                 slot = np.nonzero(leave)[0][:total - pending]
                 new = live[slot] = np.arange(pending, pending + slot.size)
                 cu[slot], now[slot] = np.conj(us[new]), 0.0
-                age[slot], leave[slot] = 0, False
+                age[slot], beta[slot], stepped[slot], leave[slot] = 0, 1.0, False, False
                 if psi is not psis:
                     psi[slot] = psis[new // restarts]
                 pending += slot.size
             if leave.any():
-                live, cu, now, age = (a[~leave] for a in (live, cu, now, age))
+                live, cu, now, age, before, beta, last, stepped = (
+                    a[~leave] for a in (live, cu, now, age, before, beta, last, stepped))
                 psi = psi if psi is psis else psi[~leave]
+        if stepped.any():  # x = u + beta (u - u_prev), each qubit renormalized
+            x = cu - before
+            xf = x.view(np.float64)
+            xf *= beta[:, None, None]
+            x += cu
+            sq = xf * xf
+            xf /= np.sqrt((sq[..., :1] + sq[..., 1:2]) + (sq[..., 2:3] + sq[..., 3:]))
+            np.copyto(before, cu)
+            np.copyto(cu, x, where=stepped[:, None, None])
+        else:
+            np.copyto(before, cu)
         prev = now
     # per state, the first maximum, as a strict > scan
     best = (lam * lam).reshape(-1, restarts).argmax(axis=1) + np.arange(0, total, restarts)

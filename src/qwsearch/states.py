@@ -8,6 +8,7 @@ walker index is d * node_count + x.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Mapping, NamedTuple, Optional, Tuple, Union
@@ -206,7 +207,8 @@ FAMILIES = {
                           {"n": _N, "seed": Param(int, ROW_SEED)}, "haar"),
     "interpolated": Family(make_interpolated_node_state, {
         "n": _N, "t": Param(float, 1.0, ("interpolation parameter", 0.0, 1.0))}),
-    "ghz": Family(make_ghz_node_state, {"n": _N, "alpha": Param(float, math.pi / 4)}),
+    "ghz": Family(make_ghz_node_state, {"n": _N, "alpha": Param(
+        float, inspect.signature(make_ghz_node_state).parameters["alpha"].default)}),
     "w": Family(make_w_node_state, {"n": _N}),
     "tilted": Family(make_tilted_node_state, {
         "n": _N, "s": Param(float, 1.0, ("tilt parameter", 0.0, 1.0))}),
