@@ -6,21 +6,29 @@
 Runs a fixed list of commands in both trees with `python -m qwsearch.cli`
 (PYTHONPATH=<tree>/src), each in its own $QWSEARCH_OUT temp directory, and
 compares the exit code, stdout and stderr (the temp path masked) and every
-CSV cell and summary field but wall_ms and wall_ms_total. Prints one line
-per command (each changed stdout or stderr line shown before and after),
-the worst difference per CSV column or summary field whose floats differ,
-then the number of differing float cells and the worst difference. Exits 1
-on any other mismatch.
+CSV cell and summary field but wall_ms and wall_ms_total. A stdout line
+that is a JSON object (the `measures` line) is compared field by field like
+a summary, and the text lines restating its numbers are compared with those
+numbers masked. Prints one line per command (each changed stdout or stderr
+line shown before and after, each changed work count such as `sweeps`
+before -> after), the worst difference per CSV column or summary field whose
+floats differ, then the number of differing float cells and the worst
+difference. Exits 1 on any other mismatch.
 """
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 SKIPPED = {"wall_ms", "wall_ms_total"}
+# optimizer work counts: an optimizer change is meant to move them, so they
+# are shown before and after, not counted as a mismatch
+WORK = {"sweeps"}
+NUMBER = re.compile(r"-?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?")
 
 
 def _config(variant, n, *lines):
@@ -93,7 +101,8 @@ def run(tree, argv, config):
         env = {**os.environ, "PYTHONPATH": str(Path(tree, "src")), "QWSEARCH_OUT": tmp}
         proc = subprocess.run([sys.executable, "-m", "qwsearch.cli", *argv], cwd=tmp,
                               env=env, capture_output=True, text=True)
-        files = {}
+        stdout, fields = _split_stdout(proc.stdout.replace(tmp, "<out>"))
+        files = {"stdout": fields} if fields else {}
         for path in sorted(Path(tmp).iterdir()):
             if path.suffix == ".csv":
                 with open(path, newline="", encoding="utf-8") as fh:
@@ -103,8 +112,26 @@ def run(tree, argv, config):
                 files[path.name]["header"] = header
             elif path.suffix == ".json":
                 files[path.name] = _flatten(json.loads(path.read_text()))
-        return (proc.returncode, proc.stdout.replace(tmp, "<out>"),
-                proc.stderr.replace(tmp, "<out>"), files)
+        return proc.returncode, stdout, proc.stderr.replace(tmp, "<out>"), files
+
+
+def _split_stdout(text):
+    """stdout without its JSON object lines, each number that those lines
+    also hold masked as #, and the JSON lines' fields under ("stdout", ...)."""
+    fields, plain = {}, []
+    for line in text.splitlines():
+        try:
+            value = json.loads(line)
+        except ValueError:
+            value = None
+        if isinstance(value, dict):
+            fields.update(_flatten(value, ("stdout",)))
+        else:
+            plain.append(line)
+    shown = {json.dumps(v) for v in fields.values()
+             if isinstance(v, (int, float)) and not isinstance(v, bool)}
+    return "\n".join(NUMBER.sub(lambda m: "#" if m.group() in shown else m.group(), line)
+                     for line in plain), fields
 
 
 def _flatten(value, key=()):
@@ -146,6 +173,7 @@ def compare(parent, change, commands=COMMANDS):
         if sorted(old[3]) != sorted(new[3]):
             problems.append(f"files {sorted(old[3])} vs {sorted(new[3])}")
         cells = gaps = 0
+        work = []
         for name in sorted(set(old[3]) & set(new[3])):
             a_fields, b_fields = old[3][name], new[3][name]
             if a_fields.keys() != b_fields.keys():
@@ -155,6 +183,9 @@ def compare(parent, change, commands=COMMANDS):
                 a, b = a_fields[key], b_fields[key]
                 cells += 1
                 if field in SKIPPED or a == b:
+                    continue
+                if field in WORK:
+                    work.append(f"{field} {a!r} -> {b!r}")
                     continue
                 gap = _float_gap(a, b)
                 if gap is None:
@@ -167,6 +198,7 @@ def compare(parent, change, commands=COMMANDS):
         floats += gaps
         mismatches += bool(problems)
         status = "; ".join(problems) if problems else "same"
+        status += "".join(f"; {change}" for change in sorted(work))
         lines.append(f"{label:<24} exit {old[0]}  {cells} fields  "
                      f"{gaps} float cells differ  {status}")
     if columns:

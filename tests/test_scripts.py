@@ -52,3 +52,16 @@ def test_compare_outputs_finds_no_difference_on_one_tree():
     # what it would count: a float cell's gap, an integer cell as a mismatch
     assert script._float_gap("0.5", "0.25") == 0.25
     assert script._float_gap("18", "19") is None
+
+
+def test_compare_outputs_reads_the_measures_json_line_by_field():
+    script = _load("compare_outputs")
+    text = ("E_g = 0.5 (best product overlap 0.75, converged; 32 restarts, at most 53 sweeps)\n"
+            '{"E_g": 0.5, "E_g_overlap": 0.75, "converged": true, "restarts_used": 32, '
+            '"sweeps": 53}\n')
+    plain, fields = script._split_stdout(text)
+    assert plain == "E_g = # (best product overlap #, converged; # restarts, at most # sweeps)"
+    assert fields[("stdout", "E_g_overlap")] == 0.75 and fields[("stdout", "sweeps")] == 53
+    # a number the JSON line does not hold stays in the text
+    assert script._split_stdout("state: haar:n=8\n")[0] == "state: haar:n=8"
+
