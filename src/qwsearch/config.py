@@ -21,7 +21,9 @@ NORM_TOL = 1e-10          # state normalization at construction
 CONSERVATION_TOL = 1e-10  # walker norm's drift from 1 over a walk, checked every step
 UNITARY_TOL = 1e-12       # 2x2 factors and dense operators
 STRICT_TOL = 1e-12        # exact-identity comparisons
-OVERLAP_TOL = 1e-12       # optimizer convergence threshold per sweep
+OVERLAP_TOL = 1e-12       # optimizer convergence: Newton steps' max |B_j|, fallback sweeps' gain
+HANDOFF_TOL = 1e-6        # a restart's sweeps stop below this gain in Lambda; each state's
+                          # best is finished by Newton steps to OVERLAP_TOL in |B|
 # optimizer
 HOPM_RESTARTS = 32
 HOPM_SWEEP_CAP = 500

@@ -355,14 +355,15 @@ def test_measures_uniform(capsys):
 
 
 def test_measures_line_describes_reported_restart(capsys, monkeypatch):
-    # the reported restart (optimizer seed 0) converges in 29 sweeps; under
-    # a cap of 47 two other restarts (53 and 50 sweeps uncapped) run into it
-    monkeypatch.setattr(measures, "HOPM_SWEEP_CAP", 47)
+    # the reported restart (optimizer seed 0) converges in 23 sweeps, 20
+    # sweeps and 3 Newton steps; under a cap of 25 two other restarts (28 and
+    # 27 sweeps uncapped) run into it
+    monkeypatch.setattr(measures, "HOPM_SWEEP_CAP", 25)
     assert main(["measures", "haar:n=8,seed=15"]) == 0
     out = capsys.readouterr().out
     payload = json.loads(out.strip().splitlines()[-1])
-    assert (payload["converged"], payload["sweeps"]) == (True, 47)
-    assert "reported restart converged; 32 restarts, at most 47 sweeps)" in out
+    assert (payload["converged"], payload["sweeps"]) == (True, 25)
+    assert "reported restart converged; 32 restarts, at most 25 sweeps)" in out
 
 
 def test_measures_ghz3(capsys):
